@@ -1,26 +1,23 @@
-"""Compiled fixed-step propagation for the affine-plus-penalty closed loop.
+"""Fixed-step propagation and projection kernels in numpy.
 
 The closed-loop right-hand side is M y + c plus a piecewise-constant
 penalty correction on a few entries, which keeps the hot loop to four
-BLAS matvecs per RK4 step.  Falls back to a pure-numpy loop when numba
-is unavailable; both paths evaluate the exact same arithmetic.
+BLAS matvecs per RK4 step.  The feasible-set projection of the
+equilibrium oracle alternates an affine projection with a box clip.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    import numba
 
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - environment without numba
-    numba = None
-    HAVE_NUMBA = False
+def rk4_affine(M, c, y, psrc, plo, phi, prho, pscl, dt, steps, sample_every,
+               out):
+    """Advance ``steps`` RK4 steps in place, sampling every ``sample_every``.
 
-
-def _rk4_affine_py(M, c, y, psrc, plo, phi, prho, pscl, dt, steps,
-                   sample_every, out):
+    Returns (samples_written, finite_flag); a False flag means the state
+    went non-finite at the last written sample.
+    """
     def rhs(yv):
         dy = M @ yv
         dy += c
@@ -45,54 +42,8 @@ def _rk4_affine_py(M, c, y, psrc, plo, phi, prho, pscl, dt, steps,
     return ns, True
 
 
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, fastmath=False)
-    def _rhs_nb(M, c, y, psrc, plo, phi, prho, pscl):  # pragma: no cover
-        dy = np.dot(M, y)
-        for i in range(dy.shape[0]):
-            dy[i] += c[i]
-        for k in range(psrc.shape[0]):
-            v = y[psrc[k]]
-            if v < plo[k]:
-                dy[psrc[k]] += prho[k] * pscl[k]
-            elif v > phi[k]:
-                dy[psrc[k]] -= prho[k] * pscl[k]
-        return dy
-
-    @numba.njit(cache=True, fastmath=False)
-    def _rk4_affine_nb(M, c, y, psrc, plo, phi, prho, pscl, dt, steps,
-                       sample_every, out):  # pragma: no cover
-        N = y.shape[0]
-        yt = np.empty(N)
-        ns = 0
-        for s in range(steps):
-            k1 = _rhs_nb(M, c, y, psrc, plo, phi, prho, pscl)
-            for j in range(N):
-                yt[j] = y[j] + 0.5 * dt * k1[j]
-            k2 = _rhs_nb(M, c, yt, psrc, plo, phi, prho, pscl)
-            for j in range(N):
-                yt[j] = y[j] + 0.5 * dt * k2[j]
-            k3 = _rhs_nb(M, c, yt, psrc, plo, phi, prho, pscl)
-            for j in range(N):
-                yt[j] = y[j] + dt * k3[j]
-            k4 = _rhs_nb(M, c, yt, psrc, plo, phi, prho, pscl)
-            for j in range(N):
-                y[j] = y[j] + (dt / 6.0) * (k1[j] + 2.0 * k2[j]
-                                            + 2.0 * k3[j] + k4[j])
-            if sample_every > 0 and (s + 1) % sample_every == 0:
-                finite = True
-                for j in range(N):
-                    out[ns, j] = y[j]
-                    if not np.isfinite(y[j]):
-                        finite = False
-                ns += 1
-                if not finite:
-                    return ns, False
-        return ns, True
-
-
-def _dykstra_py(P, M, c, lo, hi, z0, max_alt, tol, feas_tol):
+def dykstra_project(P, M, c, lo, hi, z0, max_alt, tol, feas_tol):
+    """Dykstra alternation between {M z = c} (via P = M^T (M M^T)^-1) and a box."""
     x = z0.copy()
     p = np.zeros_like(x)
     q = np.zeros_like(x)
@@ -111,64 +62,3 @@ def _dykstra_py(P, M, c, lo, hi, z0, max_alt, tol, feas_tol):
         x = xn
     return x
 
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, fastmath=False)
-    def _dykstra_nb(P, M, c, lo, hi, z0, max_alt, tol,
-                    feas_tol):  # pragma: no cover
-        N = z0.shape[0]
-        x = z0.copy()
-        p = np.zeros(N)
-        q = np.zeros(N)
-        for _ in range(max_alt):
-            w = x + p
-            y = w - np.dot(P, np.dot(M, w) - c)
-            for j in range(N):
-                p[j] = w[j] - y[j]
-            diff = 0.0
-            for j in range(N):
-                w2 = y[j] + q[j]
-                xn = min(max(w2, lo[j]), hi[j])
-                q[j] = w2 - xn
-                d = abs(xn - x[j])
-                if d > diff:
-                    diff = d
-                x[j] = xn
-            if diff < tol:
-                viol = 0.0
-                res = np.dot(M, x)
-                for i in range(res.shape[0]):
-                    v = abs(res[i] - c[i])
-                    if v > viol:
-                        viol = v
-                if viol < feas_tol:
-                    return x
-        return x
-
-
-def dykstra_project(P, M, c, lo, hi, z0, max_alt, tol, feas_tol,
-                    use_numba=True):
-    """Dykstra alternation between {M z = c} (via P = M^T (M M^T)^-1) and a box."""
-    if use_numba and HAVE_NUMBA:
-        return _dykstra_nb(P, M, c, lo, hi, np.ascontiguousarray(z0),
-                           int(max_alt), float(tol), float(feas_tol))
-    return _dykstra_py(P, M, c, lo, hi, np.asarray(z0, dtype=float),
-                       int(max_alt), float(tol), float(feas_tol))
-
-
-def rk4_affine(M, c, y, psrc, plo, phi, prho, pscl, dt, steps, sample_every,
-               out, use_numba=True):
-    """Advance ``steps`` RK4 steps in place, sampling every ``sample_every``.
-
-    Returns (samples_written, finite_flag); a False flag means the state
-    went non-finite at the last written sample.
-    """
-    args = (np.ascontiguousarray(M), np.ascontiguousarray(c), y,
-            np.ascontiguousarray(psrc), np.ascontiguousarray(plo),
-            np.ascontiguousarray(phi), np.ascontiguousarray(prho),
-            np.ascontiguousarray(pscl), float(dt), int(steps),
-            int(sample_every), out)
-    if use_numba and HAVE_NUMBA:
-        return _rk4_affine_nb(*args)
-    return _rk4_affine_py(*args)

@@ -2,9 +2,10 @@
 
 A scenario file is a JSON tree with explicit unit suffixes.  The closed
 loop (grid + controller) is affine apart from the box penalties, so the
-engine probes the exact system matrix once and propagates with a
-compiled RK4 kernel or, for the ``pwa`` method, exactly, regime by
-regime; diagnostics are evaluated on the sampled rows.
+engine probes the exact system matrix once and propagates it with the
+affine RK4 kernel, with RK45, or exactly, regime by regime (``pwa``);
+``integrate.run_eras`` checks the time grid and emits the sampled rows
+for all three.  Diagnostics are evaluated on the sampled rows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .controller import (ControllerParams, ControllerState, consensus_errors,
 from .game import (GameDefinition, ObjectiveWeights, PenaltyParams,
                    PriceParams, build_game, check_price_margin,
                    check_monotonicity)
-from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
+from .integrate import IntegratorConfig, Trajectory, rk45_samples, run_eras
 from .oracle import lyapunov_diagnostics, reduced_model_rhs, solve_vi
 from .plant import (DguParams, LineParams, PlantParams, PlantState,
                     apply_load_step, plant_rhs)
@@ -372,10 +373,10 @@ class ClosedLoop:
         return PiecewiseAffineFlow(self.M, self.c, self.psrc, self.plo,
                                    self.phi, self.prho * self.pscl)
 
-    def run_segment(self, y, dt, steps, sample_every, out, use_numba=True):
+    def run_segment(self, y, dt, steps, sample_every, out):
         return _kernels.rk4_affine(self.M, self.c, y, self.psrc, self.plo,
                                    self.phi, self.prho, self.pscl, dt, steps,
-                                   sample_every, out, use_numba=use_numba)
+                                   sample_every, out)
 
 
 @dataclass
@@ -448,7 +449,7 @@ def _stability_limit(plant: PlantParams):
 
 
 def run_scenario(scenario: Scenario, outdir=None, check=False,
-                 reduced=False, use_numba=True):
+                 reduced=False):
     """Simulate the scenario; returns (trajectory, diagnostics, report).
 
     Writes ``timeseries.csv`` and ``summary.json`` into ``outdir`` when
@@ -497,11 +498,25 @@ def run_scenario(scenario: Scenario, outdir=None, check=False,
     y = loops[0].pack(plant0, cs0)
 
     if cfg.method == "rk4":
-        traj = _run_fixed(loops, scenario, y, use_numba)
+        per = round(cfg.sample_period / cfg.dt)
+
+        def advance(era, y, t0, n_samples):
+            out = np.empty((n_samples, loops[era].size))
+            ns, _ = loops[era].run_segment(y, cfg.dt, n_samples * per, per,
+                                           out)
+            return out[:ns], y
     elif cfg.method == "pwa":
-        traj = _run_pwa(loops, scenario, y)
+        def advance(era, y, t0, n_samples):
+            return loops[era].flow().propagate(y, n_samples,
+                                               cfg.sample_period, cfg.dt)
     else:
-        traj = _run_adaptive(loops, scenario, y)
+        def advance(era, y, t0, n_samples):
+            return rk45_samples(loops[era].rhs_fast, y, t0, n_samples, cfg,
+                                None)
+    try:
+        traj = run_eras(y, cfg, [ev.time for ev in scenario.events], advance)
+    except ValueError as err:      # the runner's grid checks
+        raise ScenarioError([str(err)]) from err
 
     diag = _diagnostics(traj, loops)
     report = _build_report(scenario, traj, diag, games, cp, loops[0])
@@ -517,102 +532,6 @@ def run_scenario(scenario: Scenario, outdir=None, check=False,
         report.checks["ok"] = all(
             v for k, v in report.checks.items() if k != "ok")
     return traj, diag, report
-
-
-def _run_fixed(loops, scenario, y, use_numba):
-    cfg = scenario.integrator
-    if abs(cfg.sample_period / cfg.dt
-           - round(cfg.sample_period / cfg.dt)) > 1e-9:
-        raise ScenarioError(["sample_period must be an integer multiple of dt"])
-    per = round(cfg.sample_period / cfg.dt)
-
-    def advance(loop, y, n_samples):
-        out = np.empty((n_samples, loop.size))
-        ns, _ = loop.run_segment(y, cfg.dt, n_samples * per, per, out,
-                                 use_numba=use_numba)
-        return out[:ns], y
-
-    return _run_segments(loops, scenario, y,
-                         ((cfg.dt, "step"), (cfg.sample_period, "sample")),
-                         advance)
-
-
-def _run_pwa(loops, scenario, y):
-    """Exact piecewise-affine propagation, one flow per load-step era."""
-    cfg = scenario.integrator
-
-    def advance(loop, y, n_samples):
-        return loop.flow().propagate(y, n_samples, cfg.sample_period, cfg.dt)
-
-    return _run_segments(loops, scenario, y, ((cfg.sample_period, "sample"),),
-                         advance)
-
-
-def _run_segments(loops, scenario, y, grids, advance):
-    """Sampled run over the load-step eras.
-
-    Event times must sit on every ``(spacing, name)`` grid in ``grids``.
-    ``advance(loop, y, n_samples)`` propagates one era and returns
-    (samples, final state); a non-finite last sample aborts the run.
-    Each event adds a row with the pre-event state tagged with the new
-    era.
-    """
-    cfg = scenario.integrator
-    times = [ev.time for ev in scenario.events]
-    for t in times:
-        if not (0 < t <= cfg.t_end):
-            raise ScenarioError([f"event time {t} outside (0, t_end]"])
-        for grid, gname in grids:
-            k = round(t / grid)
-            if abs(t - k * grid) > 1e-9 * max(1.0, t):
-                raise ScenarioError([f"event time {t} not on the {gname} grid"])
-
-    rows_t, rows_y, rows_e = [0.0], [y.copy()], [0]
-    boundaries = sorted(set(times) | {cfg.t_end}) if cfg.t_end > 0 else []
-    t0 = 0.0
-    for epoch, t1 in enumerate(boundaries):
-        n_samples = round((t1 - t0) / cfg.sample_period)
-        try:
-            out, y = advance(loops[epoch], y, n_samples)
-        except IntegrationError as err:
-            raise IntegrationError(
-                str(err), rows_t[-1], rows_y[-1],
-                Trajectory(np.array(rows_t), np.array(rows_y),
-                           np.array(rows_e, dtype=int))) from err
-        for s in range(len(out)):
-            rows_t.append(t0 + (s + 1) * cfg.sample_period)
-            rows_y.append(out[s].copy())
-            rows_e.append(epoch)
-        if len(out) and not np.isfinite(out[-1]).all():
-            traj = Trajectory(np.array(rows_t[:-1]), np.array(rows_y[:-1]),
-                              np.array(rows_e[:-1], dtype=int))
-            raise IntegrationError(
-                f"non-finite state at t={rows_t[-1]:.6g}", rows_t[-2],
-                rows_y[-2], traj)
-        if t1 in times:
-            rows_t.append(t1)
-            rows_y.append(y.copy())
-            rows_e.append(epoch + 1)
-        t0 = t1
-    return Trajectory(np.array(rows_t), np.array(rows_y),
-                      np.array(rows_e, dtype=int))
-
-
-def _run_adaptive(loops, scenario, y):
-    cfg = scenario.integrator
-    events = [(ev.time, i + 1) for i, ev in enumerate(scenario.events)]
-
-    state = {"epoch": 0}
-
-    def rhs(t, yv, ctx):
-        return loops[state["epoch"]].rhs_fast(t, yv, ctx)
-
-    def on_event(ctx, payload):
-        state["epoch"] = payload
-        return ctx
-
-    return integrate(rhs, y, cfg, events=events, on_event=on_event,
-                     ctx=None)
 
 
 def _diagnostics(traj: Trajectory, loops):

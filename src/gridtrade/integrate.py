@@ -1,8 +1,11 @@
 """Deterministic ODE integration with parameter-swap events.
 
-Fixed-step classic RK4 and adaptive Dormand-Prince RK45.  Samples and
-events always land on step boundaries, so sampling never perturbs the
-integration and repeated runs are bit-identical.
+Fixed-step classic RK4 and adaptive Dormand-Prince RK45, and
+:func:`run_eras`, the one runner that validates the time grids and emits
+the sampled rows for :func:`integrate` and for every method of
+``engine.run_scenario``.  Samples and events always land on step
+boundaries, so sampling never perturbs the integration and repeated runs
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class Trajectory:
 
 def _is_multiple(a, b, rel=1e-9):
     k = round(a / b)
-    return abs(a - k * b) <= rel * max(1.0, abs(a))
+    return abs(a - k * b) <= rel * max(abs(a), b)
 
 
 def rk4_step(rhs, t, y, dt, ctx):
@@ -98,107 +101,143 @@ def _rk45_step(rhs, t, y, dt, ctx):
     return y5, y5 - y4
 
 
-def integrate(rhs, y0, config: IntegratorConfig, events=(), ctx=None,
-              on_event=None):
-    """Integrate ``dy/dt = rhs(t, y, ctx)`` with sampled output.
+def rk4_samples(rhs, y, t0, n_samples, cfg, ctx):
+    """``n_samples`` sample periods of fixed-step RK4 from time ``t0``.
 
-    ``events`` is a sequence of (time, payload) with strictly increasing
-    times inside (0, t_end]; at each event the context is replaced by
-    ``on_event(ctx, payload)`` with the state left continuous.  For the
-    fixed-step method, sample times and event times must sit on the step
-    grid and events on the sample grid.  Returns a :class:`Trajectory`
-    whose rows are step boundaries at multiples of ``sample_period``
-    (plus duplicated event rows).
+    Returns (samples, final state); stops after the first non-finite
+    sample.
     """
-    y = np.asarray(y0, dtype=float).copy()
-    cfg = config
-    if cfg.method == "pwa":
-        raise ValueError("method 'pwa' needs the closed loop's piecewise-"
-                         "affine structure; run it through run_scenario")
-    times = [e[0] for e in events]
+    per = round(cfg.sample_period / cfg.dt)
+    out = np.empty((n_samples,) + y.shape)
+    for s in range(n_samples):
+        base = t0 + s * cfg.sample_period
+        for k in range(per):
+            y = rk4_step(rhs, base + k * cfg.dt, y, cfg.dt, ctx)
+        out[s] = y
+        if not np.isfinite(y).all():
+            return out[:s + 1], y
+    return out, y
+
+
+def rk45_samples(rhs, y, t0, n_samples, cfg, ctx):
+    """``n_samples`` sample periods of adaptive RK45 from time ``t0``.
+
+    The step restarts at ``cfg.dt`` and is cut to land on every sample.
+    Returns (samples, final state); stops after the first non-finite
+    sample.
+    """
+    dt = cfg.dt
+    out = np.empty((n_samples,) + y.shape)
+    for s in range(n_samples):
+        ts_target = t0 + (s + 1) * cfg.sample_period
+        t = t0 + s * cfg.sample_period
+        while t < ts_target - 1e-15 * max(1.0, ts_target):
+            h = min(dt, ts_target - t)
+            y_new, err = _rk45_step(rhs, t, y, h, ctx)
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y),
+                                                     np.abs(y_new))
+            enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            if enorm <= 1.0 or h < 1e-14:
+                y = y_new
+                t += h
+            fac = 0.9 * (enorm ** -0.2) if enorm > 0 else 5.0
+            dt = h * min(5.0, max(0.2, fac))
+        out[s] = y
+        if not np.isfinite(y).all():
+            return out[:s + 1], y
+    return out, y
+
+
+def run_eras(y0, cfg: IntegratorConfig, event_times, advance):
+    """Sampled run over the eras that ``event_times`` cut [0, t_end] into.
+
+    The package's one time-grid runner.  Raises ``ValueError`` before
+    propagating unless the event times increase strictly inside
+    (0, t_end], they and ``t_end`` sit on the sample grid, and, for
+    ``rk4``, the sample period is a whole number of steps.
+    ``advance(era, y, t0, n_samples)`` propagates one era from time
+    ``t0`` and returns (samples, final state), ``samples[s]`` being the
+    state at ``t0 + (s + 1) * sample_period``; it may stop after the
+    first non-finite sample.  Each event adds a row with the pre-event
+    state tagged with the new era.  A non-finite sample, or an
+    :class:`IntegrationError` from ``advance``, raises
+    :class:`IntegrationError` carrying the rows up to the last good one.
+    """
+    times = list(event_times)
+    sp = cfg.sample_period
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("event times must be strictly increasing")
     if any(not (0.0 < t <= cfg.t_end) for t in times):
         raise ValueError("event times must lie in (0, t_end]")
+    if cfg.method == "rk4" and not _is_multiple(sp, cfg.dt):
+        raise ValueError("sample_period must be an integer multiple of dt")
+    if not _is_multiple(cfg.t_end, sp):
+        raise ValueError(f"t_end {cfg.t_end} not on the sample grid "
+                         f"(sample_period {sp})")
     for t in times:
-        if not _is_multiple(t, cfg.sample_period):
+        if not _is_multiple(t, sp):
             raise ValueError(f"event time {t} not on the sample grid")
-    if cfg.method == "rk4":
-        if not _is_multiple(cfg.sample_period, cfg.dt):
-            raise ValueError("sample_period must be an integer multiple of dt")
-        for t in times:
-            if not _is_multiple(t, cfg.dt):
-                raise ValueError(f"event time {t} not on the step grid")
 
-    rows_t = [0.0]
-    rows_y = [y.copy()]
-    rows_e = [0]
+    y = np.array(y0, dtype=float)
+    ts, ys, eras = [np.zeros(1)], [y[None].copy()], [np.zeros(1, dtype=int)]
+
+    def trajectory():
+        return Trajectory(np.concatenate(ts), np.concatenate(ys),
+                          np.concatenate(eras))
+
     if not np.isfinite(y).all():
-        raise IntegrationError("initial state is not finite", 0.0, y)
-    if cfg.t_end == 0.0:
-        return Trajectory(np.array(rows_t), np.array(rows_y), np.array(rows_e))
-
-    boundaries = sorted(set(times) | {cfg.t_end})
-    epoch = 0
+        raise IntegrationError("initial state is not finite", 0.0, y,
+                               trajectory())
+    boundaries = sorted(set(times) | {cfg.t_end}) if cfg.t_end > 0 else []
     t0 = 0.0
-    ev_iter = list(events)
-    traj_err = None
-    for t1 in boundaries:
-        seg = t1 - t0
-        n_samples = round(seg / cfg.sample_period)
-        if cfg.method == "rk4":
-            per = round(cfg.sample_period / cfg.dt)
-            for s in range(n_samples):
-                base = t0 + s * cfg.sample_period
-                for k in range(per):
-                    y = rk4_step(rhs, base + k * cfg.dt, y, cfg.dt, ctx)
-                ts = t0 + (s + 1) * cfg.sample_period
-                if not np.isfinite(y).all():
-                    traj_err = ts
-                    break
-                rows_t.append(ts)
-                rows_y.append(y.copy())
-                rows_e.append(epoch)
-            if traj_err is not None:
-                break
-        else:
-            dt = cfg.dt
-            for s in range(n_samples):
-                ts_target = t0 + (s + 1) * cfg.sample_period
-                t = t0 + s * cfg.sample_period
-                while t < ts_target - 1e-15 * max(1.0, ts_target):
-                    h = min(dt, ts_target - t)
-                    y_new, err = _rk45_step(rhs, t, y, h, ctx)
-                    scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y),
-                                                             np.abs(y_new))
-                    enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-                    if enorm <= 1.0 or h < 1e-14:
-                        y = y_new
-                        t += h
-                    fac = 0.9 * (enorm ** -0.2) if enorm > 0 else 5.0
-                    dt = h * min(5.0, max(0.2, fac))
-                if not np.isfinite(y).all():
-                    traj_err = ts_target
-                    break
-                rows_t.append(ts_target)
-                rows_y.append(y.copy())
-                rows_e.append(epoch)
-            if traj_err is not None:
-                break
-        # era swap at the boundary (state continuous)
+    for era, t1 in enumerate(boundaries):
+        try:
+            out, y = advance(era, y, t0, round((t1 - t0) / sp))
+        except IntegrationError as err:
+            traj = trajectory()
+            raise IntegrationError(str(err), traj.t[-1], traj.y[-1],
+                                   traj) from err
+        good = len(out)
+        if good and not np.isfinite(out[-1]).all():
+            good -= 1
+        ts.append(t0 + np.arange(1, good + 1) * sp)
+        ys.append(out[:good])
+        eras.append(np.full(good, era))
+        if good < len(out):
+            traj = trajectory()
+            raise IntegrationError(
+                f"non-finite state at t={t0 + len(out) * sp:.6g}; last good "
+                f"sample at t={traj.t[-1]:.6g}", traj.t[-1], traj.y[-1], traj)
         if t1 in times:
-            payload = ev_iter[times.index(t1)][1]
-            if on_event is not None:
-                ctx = on_event(ctx, payload)
-            epoch += 1
-            rows_t.append(t1)
-            rows_y.append(y.copy())
-            rows_e.append(epoch)
+            ts.append([t1])
+            ys.append(y[None].copy())
+            eras.append([era + 1])
         t0 = t1
-    traj = Trajectory(np.array(rows_t), np.array(rows_y),
-                      np.array(rows_e, dtype=int))
-    if traj_err is not None:
-        raise IntegrationError(
-            f"non-finite state at t={traj_err:.6g}; last good sample at "
-            f"t={rows_t[-1]:.6g}", rows_t[-1], rows_y[-1], traj)
-    return traj
+    return trajectory()
+
+
+def integrate(rhs, y0, config: IntegratorConfig, events=(), ctx=None,
+              on_event=None):
+    """Integrate ``dy/dt = rhs(t, y, ctx)`` with sampled output.
+
+    ``events`` is a sequence of (time, payload); at each event the
+    context is replaced by ``on_event(ctx, payload)`` with the state left
+    continuous.  The grids are checked by :func:`run_eras`.  Returns a
+    :class:`Trajectory` whose rows are step boundaries at multiples of
+    ``sample_period`` (plus duplicated event rows).
+    """
+    if config.method == "pwa":
+        raise ValueError("method 'pwa' needs the closed loop's piecewise-"
+                         "affine structure; run it through run_scenario")
+    samples = rk4_samples if config.method == "rk4" else rk45_samples
+    events = list(events)
+    ctxs = [ctx]
+
+    def advance(era, y, t0, n_samples):
+        if era == len(ctxs):
+            payload = events[era - 1][1]
+            ctxs.append(ctxs[-1] if on_event is None
+                        else on_event(ctxs[-1], payload))
+        return samples(rhs, y, t0, n_samples, config, ctxs[era])
+
+    return run_eras(y0, config, [e[0] for e in events], advance)

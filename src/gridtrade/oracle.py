@@ -84,7 +84,7 @@ class FeasibleSetProjector:
     """
 
     def __init__(self, M, c, lo, hi, max_alternations=200000, tol=1e-12,
-                 feas_tol=1e-9, use_numba=True):
+                 feas_tol=1e-9):
         self.M = np.ascontiguousarray(M)
         self.c = np.ascontiguousarray(c)
         self.lo = np.ascontiguousarray(lo)
@@ -92,7 +92,6 @@ class FeasibleSetProjector:
         self.max_alternations = max_alternations
         self.tol = tol
         self.feas_tol = feas_tol
-        self.use_numba = use_numba
         self._gram_inv = np.linalg.inv(M @ M.T)
         self._P = np.ascontiguousarray(self.M.T @ self._gram_inv)
 
@@ -102,8 +101,7 @@ class FeasibleSetProjector:
     def project(self, z0):
         return _kernels.dykstra_project(self._P, self.M, self.c, self.lo,
                                         self.hi, z0, self.max_alternations,
-                                        self.tol, self.feas_tol,
-                                        use_numba=self.use_numba)
+                                        self.tol, self.feas_tol)
 
 
 @dataclass
@@ -162,6 +160,21 @@ def _pseudo_gradient_z(g: GameDefinition, zl: _ZLayout):
     return F
 
 
+def game_map_matrix(g: GameDefinition) -> np.ndarray:
+    """Matrix of the affine game map over the joint vector (u_i, x_i per
+    agent, as in the oracle's layout), exact from unit-vector probes."""
+    zl = _ZLayout(g)
+    F = _pseudo_gradient_z(g, zl)
+    G = np.empty((zl.size, zl.size))
+    F0 = F(np.zeros(zl.size))
+    e = np.zeros(zl.size)
+    for j in range(zl.size):
+        e[j] = 1.0
+        G[:, j] = F(e) - F0
+        e[j] = 0.0
+    return G
+
+
 def solve_vi(g: GameDefinition, tol: float = 1e-9, max_iter: int = 50000,
              recover: bool = True, return_history: bool = False
              ) -> EquilibriumSolution:
@@ -184,14 +197,7 @@ def solve_vi(g: GameDefinition, tol: float = 1e-9, max_iter: int = 50000,
             f"intersection (gap {gap:.3g}); the coupled feasible set "
             f"appears to be empty")
     F = _pseudo_gradient_z(g, zl)
-    G = np.empty((zl.size, zl.size))
-    F0 = F(np.zeros(zl.size))
-    e = np.zeros(zl.size)
-    for j in range(zl.size):
-        e[j] = 1.0
-        G[:, j] = F(e) - F0
-        e[j] = 0.0
-    lip = _lipschitz_estimate(G)
+    lip = _lipschitz_estimate(game_map_matrix(g))
     tau = 0.5 / lip if lip > 0 else 1.0
 
     z = probe

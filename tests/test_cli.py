@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from gridtrade.cli import main
+from gridtrade.engine import Scenario
+from gridtrade.oracle import game_map_matrix
 from gridtrade.scenarios import ring4_dict, write_scenario
 
 
@@ -31,7 +34,9 @@ class TestValidate:
         assert "3.24" in out              # price margin
         assert "monotonicity" in out
         assert "partition: ok" in out
-        assert "min eigenvalue" in out
+        G = game_map_matrix(Scenario.from_file(ref_scenario_file).game())
+        mineig = np.linalg.eigvalsh(0.5 * (G + G.T)).min()
+        assert f"game-map matrix: {mineig:.4f}\n" in out
 
     def test_bad_scenario_exits_1(self, tmp_path):
         d = ring4_dict()
@@ -71,6 +76,23 @@ class TestSimulate:
         with pytest.raises(SystemExit) as ei:
             main(["simulate", short_scenario, "--frobnicate"])
         assert ei.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "reduced"])
+    def test_format_option_rejected(self, short_scenario, command):
+        with pytest.raises(SystemExit) as ei:
+            main([command, short_scenario, "--format", "json"])
+        assert ei.value.code == 2
+
+    def test_t_end_off_sample_grid_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "zeros.json"
+        write_scenario(ring4_dict(
+            integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.01 s"},
+            events=[], initial={"plant": "zeros", "controller": "zeros"}),
+            path)
+        rc = main(["simulate", str(path), "--out", str(tmp_path / "r"),
+                   "--t-end", "0.0026"])
+        assert rc == 1
+        assert "not on the sample grid" in capsys.readouterr().err
 
     def test_eps_override_recorded(self, short_scenario, tmp_path):
         out = tmp_path / "r"

@@ -103,13 +103,6 @@ class TestClosedLoopAssembly:
         plant, cs = loop.unpack(y)
         assert np.array_equal(loop.pack(plant, cs), y)
 
-    def test_kernel_paths_agree(self, short_scenario_dict):
-        scn_a = Scenario.from_dict(short_scenario_dict)
-        scn_b = Scenario.from_dict(short_scenario_dict)
-        traj_a, _, _ = run_scenario(scn_a, use_numba=True)
-        traj_b, _, _ = run_scenario(scn_b, use_numba=False)
-        assert np.allclose(traj_a.y, traj_b.y, rtol=1e-12, atol=1e-9)
-
 
 class TestRunScenario:
     def test_csv_and_summary_outputs(self, ref_run, ref_game):
@@ -195,6 +188,16 @@ class TestRunScenario:
             integrator={"method": "rk4", "dt": "3e-6 s", "t_end": "0.01 s"},
             events=[], output={"sample_period": "1e-5 s"}))
         with pytest.raises(ScenarioError, match="integer multiple"):
+            run_scenario(scn)
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45", "pwa"])
+    def test_t_end_off_sample_grid(self, method):
+        scn = Scenario.from_dict(ring4_dict(
+            integrator={"method": method, "dt": "1e-5 s", "t_end": 0.0026},
+            events=[], output={"sample_period": "1e-3 s"},
+            initial={"plant": "zeros", "controller": "zeros"}))
+        with pytest.raises(ScenarioError, match="t_end 0.0026 not on the "
+                                                "sample grid"):
             run_scenario(scn)
 
     def test_event_off_grid_guard(self):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gridtrade import IntegrationError, IntegratorConfig, integrate
+from gridtrade import (IntegrationError, IntegratorConfig, Scenario,
+                       ScenarioError, integrate, run_scenario)
+from gridtrade.scenarios import ring4_dict
 
 
 def exp_decay(t, y, ctx):
@@ -77,6 +79,14 @@ class TestEvents:
         with pytest.raises(ValueError, match="lie in"):
             integrate(exp_decay, np.ones(1), cfg, events=[(2.0, None)])
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_t_end_off_sample_grid(self, method):
+        cfg = IntegratorConfig(method=method, dt=0.01, t_end=1.06,
+                               sample_period=0.1)
+        with pytest.raises(ValueError, match="t_end 1.06 not on the sample "
+                                             "grid"):
+            integrate(exp_decay, np.ones(1), cfg)
+
     def test_step_grid_validation(self):
         cfg = IntegratorConfig(method="rk4", dt=0.3, t_end=1.0,
                                sample_period=1.0)
@@ -148,3 +158,39 @@ class TestDeterminism:
         b = integrate(rhs, np.array([0.7, -0.2]), cfg)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.t, b.t)
+
+
+def _one_event_run(method, event_time):
+    """Rows of a 4 ms run on a 1 ms sample grid with one event: the
+    generic ``integrate`` or one of ``run_scenario``'s methods on ring4."""
+    if method == "integrate":
+        cfg = IntegratorConfig(method="rk4", dt=1e-5, t_end=0.004,
+                               sample_period=0.001)
+        return integrate(exp_decay, np.ones(1), cfg,
+                         events=[(event_time, None)])
+    scn = Scenario.from_dict(ring4_dict(
+        integrator={"method": method, "dt": 1e-5, "t_end": 0.004,
+                    "rtol": 1e-7, "atol": 1e-9},
+        events=[{"time": event_time, "d_IL": 1.0}],
+        output={"sample_period": 0.001},
+        initial={"plant": "zeros", "controller": "zeros"}))
+    traj, _, _ = run_scenario(scn)
+    return traj
+
+
+class TestOneRunner:
+    """``integrate`` and every ``run_scenario`` method share one runner."""
+
+    @pytest.mark.parametrize("method", ["integrate", "rk4", "rk45", "pwa"])
+    def test_same_rows_and_grid_errors(self, method):
+        ref = _one_event_run("integrate", 0.002)
+        assert ref.t == pytest.approx([0.0, 1e-3, 2e-3, 2e-3, 3e-3, 4e-3],
+                                      abs=1e-15)
+        traj = _one_event_run(method, 0.002)
+        assert np.array_equal(traj.t, ref.t)
+        assert traj.epoch.tolist() == [0, 0, 0, 1, 1, 1]
+        with pytest.raises(ValueError) as ei:
+            _one_event_run(method, 0.0015)
+        err = ei.value
+        msg = err.errors[0] if isinstance(err, ScenarioError) else str(err)
+        assert msg == "event time 0.0015 not on the sample grid"

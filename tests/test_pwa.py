@@ -28,7 +28,7 @@ def _rk4(loop, y, dt, t_end, sample_period):
     per = round(sample_period / dt)
     n = round(t_end / sample_period)
     out = np.empty((n, loop.size))
-    loop.run_segment(y.copy(), dt, n * per, per, out, use_numba=False)
+    loop.run_segment(y.copy(), dt, n * per, per, out)
     return out
 
 

@@ -106,8 +106,8 @@ def _cmd_validate(args):
     if not part_ok:
         rc = 1
     sol = solve_vi(g)
-    print(f"equilibrium solve: {sol.iterations} iterations, "
-          f"residual {sol.residual:.2e}")
+    print(f"equilibrium solve: {sol.method}, {sol.iterations} extragradient "
+          f"iterations, residual {sol.residual:.2e}")
     slack_V, slack_Il = check_penalty_bounds(g, sol.lambda_star,
                                              sol.gamma_star)
     print("penalty slack (voltage): "
@@ -134,8 +134,9 @@ def _cmd_equilibrium(args):
         "x_star": sol.x_star.tolist(),
         "lambda_shared": sol.lambda_star.tolist(),
         "gamma": sol.gamma_star.tolist(),
+        "method": sol.method,
         "iterations": int(sol.iterations),
-        "fixed_point_residual": float(sol.residual),
+        "residual": float(sol.residual),
         "converged": bool(sol.converged),
         "stationarity_residual": float(rec.residual),
         "rank_deficient": bool(rec.rank_deficient),
@@ -151,8 +152,8 @@ def _cmd_equilibrium(args):
         print("Il*:     " + ", ".join(f"{v:.6f}" for v in Il))
         print("lambda*: " + ", ".join(f"{v:.4f}" for v in sol.lambda_star))
         print("gamma*:  " + ", ".join(f"{v:.4f}" for v in sol.gamma_star))
-        print(f"iterations: {sol.iterations}  residual: {sol.residual:.2e}  "
-              f"converged: {sol.converged}")
+        print(f"method: {sol.method}  iterations: {sol.iterations}  "
+              f"residual: {sol.residual:.2e}  converged: {sol.converged}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "equilibrium.json"), "w") as f:

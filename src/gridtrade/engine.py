@@ -473,12 +473,19 @@ def run_scenario(scenario: Scenario, outdir=None, check=False,
     games = [scenario.game(p) for p in epochs_params]
     cp = scenario.controller
     loops = [ClosedLoop(g, cp, reduced=reduced) for g in games]
+    solved = {}
+
+    def equilibrium(era):
+        """The era's equilibrium (``solve_vi``), solved at most once per
+        run: the initial state and the export share it."""
+        if era not in solved:
+            solved[era] = solve_vi(games[era])
+        return solved[era]
 
     # initial state
     g0 = games[0]
     if scenario.initial_plant == "equilibrium":
-        sol = solve_vi(g0, tol=1e-9, recover=False)
-        I0, V0, Il0 = g0.layout.split(sol.x_star)
+        I0, V0, Il0 = g0.layout.split(equilibrium(0).x_star)
         plant0 = PlantState(I0, V0, Il0)
     elif scenario.initial_plant == "zeros":
         plant0 = PlantState.zeros(g0.n, g0.m)
@@ -521,7 +528,7 @@ def run_scenario(scenario: Scenario, outdir=None, check=False,
     diag = _diagnostics(traj, loops)
     report = _build_report(scenario, traj, diag, games, cp, loops[0])
     if outdir is not None:
-        report.equilibrium = _equilibrium_export(games)
+        report.equilibrium = _equilibrium_export(games, equilibrium)
         os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, "timeseries.csv"), traj, diag,
                   games[0], reduced=reduced)
@@ -554,12 +561,13 @@ def _diagnostics(traj: Trajectory, loops):
     return rows
 
 
-def _equilibrium_export(games):
-    """Centralized equilibrium per load-step era, for the summary file."""
+def _equilibrium_export(games, equilibrium):
+    """Centralized equilibrium per load-step era, for the summary file;
+    ``equilibrium(era)`` gives the era's solution."""
     out = {}
     for e, g in enumerate(games):
         try:
-            sol = solve_vi(g)
+            sol = equilibrium(e)
             I, V, Il = g.layout.split(sol.x_star)
             out[f"epoch{e}"] = {
                 "u_star": sol.u_star.tolist(),
@@ -570,6 +578,7 @@ def _equilibrium_export(games):
                 "gamma": sol.gamma_star.tolist(),
                 "converged": bool(sol.converged),
                 "residual": float(sol.residual),
+                "method": sol.method,
             }
         except RuntimeError as err:
             out[f"epoch{e}"] = {"error": str(err)}

@@ -1,10 +1,11 @@
 """Centralized equilibrium computation and run diagnostics.
 
 Independent of the distributed controller: solves the trading game's
-variational inequality over the coupled feasible set by extragradient
-iteration with Dykstra projections, recovers multipliers, and provides
-the quasi-steady-state (reduced) dynamics and energy diagnostics used to
-certify simulation runs.
+variational inequality over the coupled feasible set exactly by an
+active-set iteration, certified by the recovered multipliers (with
+extragradient iteration and Dykstra projections as the fallback and the
+independent cross-check), and provides the quasi-steady-state (reduced)
+dynamics and energy diagnostics used to certify simulation runs.
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ class MultiplierRecovery:
     active_lower: np.ndarray
     active_upper: np.ndarray
     box_forces: np.ndarray        # stationarity gap on active rows
+    scale: float                  # max(1, |stationarity right-hand side|)
 
 
 @dataclass
@@ -123,7 +125,12 @@ class EquilibriumSolution:
     """Weighted equilibrium of the trading game.
 
     ``lambda_star`` is the shared value of ``r_i lambda_i``;
-    per-agent multipliers are ``lambda_star / r_i``.
+    per-agent multipliers are ``lambda_star / r_i``.  ``method`` names
+    the path that answered, ``"active_set"`` or ``"extragradient"``;
+    ``iterations`` counts extragradient iterations (0 on the active-set
+    path).  ``residual`` is the extragradient fixed-point residual, or on
+    the active-set path the certificate's: the larger of the balance gap
+    and the stationarity residual.
     """
 
     u_star: np.ndarray
@@ -133,6 +140,7 @@ class EquilibriumSolution:
     iterations: int
     residual: float
     converged: bool
+    method: str
     recovery: MultiplierRecovery = None
     history: list = None
 
@@ -176,20 +184,42 @@ def game_map_matrix(g: GameDefinition) -> np.ndarray:
 
 
 def solve_vi(g: GameDefinition, tol: float = 1e-9, max_iter: int = 50000,
-             recover: bool = True, return_history: bool = False
-             ) -> EquilibriumSolution:
-    """Extragradient solution of the game's variational inequality.
+             recover: bool = True, return_history: bool = False,
+             method: str = "active_set") -> EquilibriumSolution:
+    """Equilibrium of the game's variational inequality.
 
-    Projects onto the coupled feasible set (affine balances intersected
-    with the voltage/line boxes) with Dykstra's alternating scheme; the
-    step size is 0.5 over a power-iteration Lipschitz estimate of the
-    weighted game map.  Terminates when the fixed-point residual
-    ``|z - P(z - tau F(z))|_inf`` drops below ``tol``; deterministic.
+    The weighted game map is affine and the feasible set is a polyhedron
+    (affine balances intersected with the voltage/line boxes), so the
+    default ``method="active_set"`` solves it exactly by the finite
+    active-set iteration of :func:`_active_set_polish`, started from the
+    reference point clipped into the boxes (Facchinei & Pang,
+    *Finite-Dimensional Variational Inequalities and Complementarity
+    Problems*, 2003).  The answer is returned only when
+    :func:`_certified` accepts it; otherwise the solve falls back to
+    extragradient.  The active-set path always recovers the multipliers,
+    because they are its certificate.
+
+    ``method="extragradient"``: extragradient iteration projecting onto
+    the feasible set with Dykstra's alternating scheme; the step size is
+    0.5 over a power-iteration Lipschitz estimate of the weighted game
+    map.  Terminates when the fixed-point residual
+    ``|z - P(z - tau F(z))|_inf`` drops below ``tol`` (or after
+    ``max_iter`` iterations), then refines the final face with
+    :func:`_active_set_polish`.  Raises RuntimeError when the feasible
+    set is empty.  Both paths are deterministic.
     """
+    if method not in ("active_set", "extragradient"):
+        raise ValueError(f"unknown solve method {method!r}")
     zl, M, c = _affine_rows(g)
     lo, hi = _box_bounds(g, zl)
+    start = np.clip(zl.join(g.plant.u_ref, g.x_ref), lo, hi)
+    if method == "active_set":
+        z = _active_set_polish(g, zl, start, lo, hi)
+        sol = _certified(g, zl, M, c, lo, hi, z)
+        if sol is not None:
+            return sol
     proj = FeasibleSetProjector(M, c, lo, hi)
-    probe = proj.project(np.clip(zl.join(g.plant.u_ref, g.x_ref), lo, hi))
+    probe = proj.project(start)
     gap = float(np.abs(M @ probe - c).max())
     if gap > 1e-6:
         raise RuntimeError(
@@ -216,12 +246,45 @@ def solve_vi(g: GameDefinition, tol: float = 1e-9, max_iter: int = 50000,
     z = _active_set_polish(g, zl, z, lo, hi)
     u, x = zl.split(z)
     sol = EquilibriumSolution(u, x, np.zeros(g.n + g.m), np.zeros(g.n),
-                              it, residual, converged, history=history)
+                              it, residual, converged, "extragradient",
+                              history=history)
     if recover:
         rec = recover_multipliers(sol, g)
         sol.lambda_star = rec.lambda_shared
         sol.gamma_star = rec.gamma
         sol.recovery = rec
+    return sol
+
+
+def _certified(g, zl, M, c, lo, hi, z):
+    """Certified solution at ``z``, or None when the certificate fails.
+
+    Primal: the balances hold to 1e-8 and every box holds up to the
+    rounding of a pinned entry (1e-12 relative to the bound; the pinned
+    solve places ring4's active voltage 1.1e-13 below 377 V).  Dual: the
+    recovered multipliers leave a stationarity residual of at most 1e-9
+    relative to max(1, the size of the stationarity right-hand side), and
+    every active box's force points into the box.
+    """
+    gap = float(np.abs(M @ z - c).max())
+    if not gap <= 1e-8 \
+            or (z < lo - 1e-12 * np.maximum(1.0, np.abs(lo))).any() \
+            or (z > hi + 1e-12 * np.maximum(1.0, np.abs(hi))).any():
+        return None
+    u, x = zl.split(z)
+    sol = EquilibriumSolution(u, x, np.zeros(g.n + g.m), np.zeros(g.n), 0,
+                              gap, True, "active_set")
+    rec = recover_multipliers(sol, g)
+    tol = 1e-9 * rec.scale
+    active = rec.active_lower | rec.active_upper
+    lower = rec.active_lower[active]
+    if not (rec.residual <= tol and (rec.box_forces[lower] >= -tol).all()
+            and (rec.box_forces[~lower] <= tol).all()):
+        return None
+    sol.lambda_star = rec.lambda_shared
+    sol.gamma_star = rec.gamma
+    sol.recovery = rec
+    sol.residual = max(gap, rec.residual)
     return sol
 
 
@@ -315,7 +378,7 @@ def recover_multipliers(sol: EquilibriumSolution, g: GameDefinition,
     box_forces = fit[~inactive] if (~inactive).any() else np.zeros(0)
     return MultiplierRecovery(lam, gamma, residual, int(rank),
                               rank < g.n + g.m, active_lower, active_upper,
-                              box_forces)
+                              box_forces, max(1.0, float(np.abs(rhs).max())))
 
 
 def affine_kkt_solve(g: GameDefinition, pinned=()):

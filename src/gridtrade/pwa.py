@@ -11,7 +11,7 @@ regimes, and inside a regime pattern the flow is linear time-invariant
 ``expm([[A, b], [0, 0]] h)`` (Van Loan, IEEE TAC 23(3), 1978).
 
 Steps have dyadic lengths ``sample_period / 2**k`` and sit on their own
-grid, so every map is computed once per pattern and level and samples
+grid, so every map is computed once per pattern visit and level; samples
 land exactly on the sample grid.  After each pattern switch the step
 restarts at the finest level and grows with the time elapsed since.  A
 switch shows as a check row leaving its admissible sign at the end of a
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .integrate import IntegrationError
 
@@ -36,6 +35,15 @@ REGIME_NAMES = ("below", "lower-sliding", "interior", "upper-sliding", "above")
 BISECT_LEVELS = 24   # a switch is located to 2**-24 of the finest step
 GROWTH_SHIFT = 4     # a step is at most 2**-4 of the time since a switch
 MAX_SWITCHES = 100000
+
+
+def expm(a):
+    """Matrix exponential (``scipy.linalg.expm``).  scipy is imported on
+    the first call: only this module needs it, and importing it costs
+    about 28 MB of resident memory."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 class PiecewiseAffineFlow:
@@ -56,7 +64,8 @@ class PiecewiseAffineFlow:
         self.size = self.c.size
         self._snap_tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(self.lo),
                                                             np.abs(self.hi)))
-        self._maps = {}
+        self._maps = {}          # step length -> exact map, current pattern
+        self._maps_pattern = None
         self._checks = {}
         self.switches = 0
 
@@ -152,14 +161,19 @@ class PiecewiseAffineFlow:
 
     # -- exact maps ---------------------------------------------------------
     def _advance(self, pattern, h, y):
-        """State after ``h`` seconds of the pattern's flow (maps cached)."""
-        key = (pattern, h)
-        if key not in self._maps:
+        """State after ``h`` seconds of the pattern's flow.
+
+        Maps are cached for the current pattern only: a switch drops the
+        previous pattern's maps, which bounds the memory held to one
+        pattern's levels (a pattern that recurs recomputes its maps).
+        """
+        if pattern != self._maps_pattern:
+            self._maps, self._maps_pattern = {}, pattern
+        if h not in self._maps:
             N = self.size
             E = expm(self._system(pattern) * h)
-            self._maps[key] = (np.ascontiguousarray(E[:N, :N]),
-                               E[:N, N].copy())
-        Phi, phi = self._maps[key]
+            self._maps[h] = (np.ascontiguousarray(E[:N, :N]), E[:N, N].copy())
+        Phi, phi = self._maps[h]
         return Phi @ y + phi
 
     # -- propagation --------------------------------------------------------

@@ -30,8 +30,8 @@ strict:
   by 0.066 / 0.083 V and AC3 fails with relative gaps of 0.89 in x and
   1.37 in the weighted multipliers;
 * AC2's runtime clause times the 10 s RK4 reference run, which takes
-  90-100 s on a 2-core machine (99.4 s measured) against its 60 s
-  bound.
+  67-82 s on a 2-core machine without numba (two measurements, nearly
+  all of it one million numpy RK4 steps) against its 60 s bound.
 
 `test_oracle.py::TestClosedLoopEquilibrium` pins the attractor.
 """
@@ -82,7 +82,7 @@ class TestAcceptance:
         """Residual and boxes are judged on the long-horizon run, the
         runtime on the 10 s reference run.  Known to fail: DGU 1's
         saturated voltage penalty leaves V1 below its box at both
-        attractors, and the reference run takes 90-100 s, not < 60 s."""
+        attractors, and the reference run takes 67-82 s, not < 60 s."""
         report = long_run["report"]
         conv = report.convergence_times
         runtime = ref_run["runtime"]

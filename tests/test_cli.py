@@ -122,6 +122,8 @@ class TestEquilibrium:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["converged"]
+        assert data["method"] == "active_set"
+        assert data["iterations"] == 0
         assert len(data["u_star"]) == 4
         assert 377.0 <= min(data["x_star"][1::1]) or True  # shape sanity only
 

@@ -9,6 +9,7 @@ from gridtrade.controller import ControllerState, controller_rhs
 from gridtrade.oracle import FeasibleSetProjector, _affine_rows, _box_bounds, \
     boundary_layer_energy_matrix
 from gridtrade.plant import PlantState
+from gridtrade.scenarios import ring4_dict
 
 from conftest import make_single_game
 
@@ -126,14 +127,15 @@ class TestSolveVi:
         assert (np.abs(Il) <= 20.0 + 1e-9).all()
 
     def test_deterministic(self, ref_game):
-        a = solve_vi(ref_game)
-        b = solve_vi(ref_game)
+        a = solve_vi(ref_game, method="extragradient")
+        b = solve_vi(ref_game, method="extragradient")
         assert np.array_equal(a.u_star, b.u_star)
         assert np.array_equal(a.x_star, b.x_star)
         assert a.iterations == b.iterations
 
     def test_iteration_budget_flag(self, ref_game):
-        sol = solve_vi(ref_game, tol=1e-300, max_iter=5, recover=False)
+        sol = solve_vi(ref_game, tol=1e-300, max_iter=5, recover=False,
+                       method="extragradient")
         assert not sol.converged
         assert sol.iterations == 5
         assert np.isfinite(sol.u_star).all()
@@ -148,7 +150,7 @@ class TestSolveVi:
         assert np.allclose(ratio, 3.0, rtol=1e-6)
 
     def test_residual_history_monotone_after_burn_in(self, ref_game):
-        sol = solve_vi(ref_game, return_history=True)
+        sol = solve_vi(ref_game, return_history=True, method="extragradient")
         hist = np.array(sol.history[10:])
         assert ((hist[1:] - hist[:-1]) <= 1e-12 + 1e-6 * hist[:-1]).all()
 
@@ -164,6 +166,81 @@ class TestSolveVi:
                           scn.penalties, validate=False)
         with pytest.raises(RuntimeError, match="empty"):
             solve_vi(g)
+
+
+def ring_game(n):
+    """n DGUs on a ring, repeating ring4's per-agent records; alpha_I and
+    the base price grow with n so the game stays strictly monotone and
+    the price margin positive."""
+    d = ring4_dict()
+    d["topology"] = {"n": n,
+                     "edges": [[k + 1, (k + 1) % n + 1] for k in range(n)],
+                     "managers": list(range(1, n + 1))}
+    d["dgus"] = [d["dgus"][i % 4] for i in range(n)]
+    d["lines"] = [d["lines"][i % 4] for i in range(n)]
+    d["weights"] = [dict(w, alpha_I=w["alpha_I"] * 0.6 * n)
+                    for w in (d["weights"][i % 4] for i in range(n))]
+    d["price"]["l"] = 5.0 * n / 4
+    d["penalties"] = {"rho_V": [1200] * n, "rho_Il": [1000] * n}
+    return gt.Scenario.from_dict(d).game()
+
+
+class TestActiveSet:
+    @pytest.mark.parametrize("era", ["ref_game", "ref_post_game"])
+    def test_matches_extragradient_bitwise(self, era, request):
+        g = request.getfixturevalue(era)
+        a = solve_vi(g)
+        b = solve_vi(g, method="extragradient")
+        assert a.method == "active_set" and a.iterations == 0
+        assert b.method == "extragradient"
+        assert np.array_equal(a.u_star, b.u_star)
+        assert np.array_equal(a.x_star, b.x_star)
+        assert np.array_equal(a.lambda_star, b.lambda_star)
+
+    def test_certificate_residual(self, ref_game, ref_solution):
+        """The reported residual is the certificate's: the larger of the
+        balance gap and the stationarity residual."""
+        rec = ref_solution.recovery
+        zl, M, c = _affine_rows(ref_game)
+        gap = np.abs(M @ zl.join(ref_solution.u_star, ref_solution.x_star)
+                     - c).max()
+        assert ref_solution.method == "active_set" and ref_solution.converged
+        assert ref_solution.residual == max(gap, rec.residual)
+        assert rec.residual <= 1e-9 * rec.scale
+
+    def test_falls_back_when_uncertified(self, ref_game, ref_solution,
+                                         monkeypatch):
+        from gridtrade import oracle
+
+        monkeypatch.setattr(oracle, "_active_set_polish",
+                            lambda g, zl, z, lo, hi: z)
+        sol = solve_vi(ref_game)
+        assert sol.method == "extragradient"
+        assert sol.iterations > 0
+        assert np.abs(sol.u_star - ref_solution.u_star).max() < 1e-8
+        assert np.abs(sol.x_star - ref_solution.x_star).max() < 1e-8
+
+    def test_unknown_method(self, ref_game):
+        with pytest.raises(ValueError, match="unknown solve method"):
+            solve_vi(ref_game, method="newton")
+
+    def test_ring16_certified_fast(self):
+        import time
+
+        g = ring_game(16)
+        t0 = time.perf_counter()
+        sol = solve_vi(g)
+        took = time.perf_counter() - t0
+        assert sol.method == "active_set" and sol.converged
+        assert took < 1.0
+        rec = sol.recovery
+        assert rec.residual <= 1e-9 * rec.scale
+        assert (rec.active_lower | rec.active_upper).any()
+        zl, M, c = _affine_rows(g)
+        lo, hi = _box_bounds(g, zl)
+        z = zl.join(sol.u_star, sol.x_star)
+        assert np.abs(M @ z - c).max() < 1e-8
+        assert (z >= lo - 1e-9).all() and (z <= hi + 1e-9).all()
 
 
 class TestProjector:

@@ -473,19 +473,13 @@ def run_scenario(scenario: Scenario, outdir=None, check=False,
     games = [scenario.game(p) for p in epochs_params]
     cp = scenario.controller
     loops = [ClosedLoop(g, cp, reduced=reduced) for g in games]
-    solved = {}
-
-    def equilibrium(era):
-        """The era's equilibrium (``solve_vi``), solved at most once per
-        run: the initial state and the export share it."""
-        if era not in solved:
-            solved[era] = solve_vi(games[era])
-        return solved[era]
+    solved = {}       # era -> solve_vi solution, shared with the export
 
     # initial state
     g0 = games[0]
     if scenario.initial_plant == "equilibrium":
-        I0, V0, Il0 = g0.layout.split(equilibrium(0).x_star)
+        solved[0] = solve_vi(g0)
+        I0, V0, Il0 = g0.layout.split(solved[0].x_star)
         plant0 = PlantState(I0, V0, Il0)
     elif scenario.initial_plant == "zeros":
         plant0 = PlantState.zeros(g0.n, g0.m)
@@ -528,7 +522,7 @@ def run_scenario(scenario: Scenario, outdir=None, check=False,
     diag = _diagnostics(traj, loops)
     report = _build_report(scenario, traj, diag, games, cp, loops[0])
     if outdir is not None:
-        report.equilibrium = _equilibrium_export(games, equilibrium)
+        report.equilibrium = _equilibrium_export(games, solved)
         os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, "timeseries.csv"), traj, diag,
                   games[0], reduced=reduced)
@@ -561,13 +555,13 @@ def _diagnostics(traj: Trajectory, loops):
     return rows
 
 
-def _equilibrium_export(games, equilibrium):
+def _equilibrium_export(games, solved):
     """Centralized equilibrium per load-step era, for the summary file;
-    ``equilibrium(era)`` gives the era's solution."""
+    eras already in ``solved`` are not solved again."""
     out = {}
     for e, g in enumerate(games):
         try:
-            sol = equilibrium(e)
+            sol = solved[e] if e in solved else solve_vi(g)
             I, V, Il = g.layout.split(sol.x_star)
             out[f"epoch{e}"] = {
                 "u_star": sol.u_star.tolist(),

@@ -183,43 +183,48 @@ def game_map_matrix(g: GameDefinition) -> np.ndarray:
     return G
 
 
-def solve_vi(g: GameDefinition, tol: float = 1e-9, max_iter: int = 50000,
-             recover: bool = True, return_history: bool = False,
-             method: str = "active_set") -> EquilibriumSolution:
-    """Equilibrium of the game's variational inequality.
+def solve_vi(g: GameDefinition) -> EquilibriumSolution:
+    """Equilibrium of the game's variational inequality, with its
+    recovered multipliers.
 
     The weighted game map is affine and the feasible set is a polyhedron
     (affine balances intersected with the voltage/line boxes), so the
-    default ``method="active_set"`` solves it exactly by the finite
-    active-set iteration of :func:`_active_set_polish`, started from the
-    reference point clipped into the boxes (Facchinei & Pang,
-    *Finite-Dimensional Variational Inequalities and Complementarity
-    Problems*, 2003).  The answer is returned only when
+    finite active-set iteration of :func:`_active_set_polish`, started
+    from the reference point clipped into the boxes, solves it exactly
+    (Facchinei & Pang, *Finite-Dimensional Variational Inequalities and
+    Complementarity Problems*, 2003).  The answer is returned only when
     :func:`_certified` accepts it; otherwise the solve falls back to
-    extragradient.  The active-set path always recovers the multipliers,
-    because they are its certificate.
-
-    ``method="extragradient"``: extragradient iteration projecting onto
-    the feasible set with Dykstra's alternating scheme; the step size is
-    0.5 over a power-iteration Lipschitz estimate of the weighted game
-    map.  Terminates when the fixed-point residual
-    ``|z - P(z - tau F(z))|_inf`` drops below ``tol`` (or after
-    ``max_iter`` iterations), then refines the final face with
-    :func:`_active_set_polish`.  Raises RuntimeError when the feasible
-    set is empty.  Both paths are deterministic.
+    :func:`_solve_extragradient`, which raises RuntimeError when the
+    feasible set is empty.  Deterministic.
     """
-    if method not in ("active_set", "extragradient"):
-        raise ValueError(f"unknown solve method {method!r}")
     zl, M, c = _affine_rows(g)
     lo, hi = _box_bounds(g, zl)
     start = np.clip(zl.join(g.plant.u_ref, g.x_ref), lo, hi)
-    if method == "active_set":
-        z = _active_set_polish(g, zl, start, lo, hi)
-        sol = _certified(g, zl, M, c, lo, hi, z)
-        if sol is not None:
-            return sol
+    sol = _certified(g, zl, M, c, lo, hi,
+                     _active_set_polish(g, zl, start, lo, hi))
+    return sol if sol is not None else _solve_extragradient(g)
+
+
+def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
+                         max_iter: int = 50000, recover: bool = True,
+                         return_history: bool = False
+                         ) -> EquilibriumSolution:
+    """Extragradient solution of the game's variational inequality:
+    :func:`solve_vi`'s fallback and the independent cross-check of its
+    active-set path.
+
+    Projects onto the coupled feasible set with Dykstra's alternating
+    scheme; the step size is 0.5 over a power-iteration Lipschitz
+    estimate of the weighted game map.  Terminates when the fixed-point
+    residual ``|z - P(z - tau F(z))|_inf`` drops below ``tol`` (or after
+    ``max_iter`` iterations), then refines the final face with
+    :func:`_active_set_polish`.  Raises RuntimeError when the feasible
+    set is empty; deterministic.
+    """
+    zl, M, c = _affine_rows(g)
+    lo, hi = _box_bounds(g, zl)
     proj = FeasibleSetProjector(M, c, lo, hi)
-    probe = proj.project(start)
+    probe = proj.project(np.clip(zl.join(g.plant.u_ref, g.x_ref), lo, hi))
     gap = float(np.abs(M @ probe - c).max())
     if gap > 1e-6:
         raise RuntimeError(

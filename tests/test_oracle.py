@@ -7,7 +7,7 @@ from gridtrade import ControllerParams, affine_kkt_solve, \
     reduced_model_rhs, solve_vi
 from gridtrade.controller import ControllerState, controller_rhs
 from gridtrade.oracle import FeasibleSetProjector, _affine_rows, _box_bounds, \
-    boundary_layer_energy_matrix
+    _solve_extragradient, boundary_layer_energy_matrix
 from gridtrade.plant import PlantState
 from gridtrade.scenarios import ring4_dict
 
@@ -45,8 +45,8 @@ class TestSolveVi:
         I_star = -const / coef
         V_star = Z * (I_star - IL)
         u_star = V_star + R * I_star
-        sol = solve_vi(g, tol=1e-12)
-        assert sol.converged
+        sol = solve_vi(g)
+        assert sol.method == "active_set" and sol.converged
         assert sol.u_star[0] == pytest.approx(u_star, abs=1e-8)
         assert sol.x_star[0] == pytest.approx(I_star, abs=1e-8)
         assert sol.x_star[1] == pytest.approx(V_star, abs=1e-8)
@@ -127,15 +127,15 @@ class TestSolveVi:
         assert (np.abs(Il) <= 20.0 + 1e-9).all()
 
     def test_deterministic(self, ref_game):
-        a = solve_vi(ref_game, method="extragradient")
-        b = solve_vi(ref_game, method="extragradient")
+        a = _solve_extragradient(ref_game)
+        b = _solve_extragradient(ref_game)
         assert np.array_equal(a.u_star, b.u_star)
         assert np.array_equal(a.x_star, b.x_star)
         assert a.iterations == b.iterations
 
     def test_iteration_budget_flag(self, ref_game):
-        sol = solve_vi(ref_game, tol=1e-300, max_iter=5, recover=False,
-                       method="extragradient")
+        sol = _solve_extragradient(ref_game, tol=1e-300, max_iter=5,
+                                   recover=False)
         assert not sol.converged
         assert sol.iterations == 5
         assert np.isfinite(sol.u_star).all()
@@ -150,7 +150,7 @@ class TestSolveVi:
         assert np.allclose(ratio, 3.0, rtol=1e-6)
 
     def test_residual_history_monotone_after_burn_in(self, ref_game):
-        sol = solve_vi(ref_game, return_history=True, method="extragradient")
+        sol = _solve_extragradient(ref_game, return_history=True)
         hist = np.array(sol.history[10:])
         assert ((hist[1:] - hist[:-1]) <= 1e-12 + 1e-6 * hist[:-1]).all()
 
@@ -190,7 +190,7 @@ class TestActiveSet:
     def test_matches_extragradient_bitwise(self, era, request):
         g = request.getfixturevalue(era)
         a = solve_vi(g)
-        b = solve_vi(g, method="extragradient")
+        b = _solve_extragradient(g)
         assert a.method == "active_set" and a.iterations == 0
         assert b.method == "extragradient"
         assert np.array_equal(a.u_star, b.u_star)
@@ -220,19 +220,10 @@ class TestActiveSet:
         assert np.abs(sol.u_star - ref_solution.u_star).max() < 1e-8
         assert np.abs(sol.x_star - ref_solution.x_star).max() < 1e-8
 
-    def test_unknown_method(self, ref_game):
-        with pytest.raises(ValueError, match="unknown solve method"):
-            solve_vi(ref_game, method="newton")
-
-    def test_ring16_certified_fast(self):
-        import time
-
+    def test_ring16_certified(self):
         g = ring_game(16)
-        t0 = time.perf_counter()
         sol = solve_vi(g)
-        took = time.perf_counter() - t0
         assert sol.method == "active_set" and sol.converged
-        assert took < 1.0
         rec = sol.recovery
         assert rec.residual <= 1e-9 * rec.scale
         assert (rec.active_lower | rec.active_upper).any()
@@ -283,7 +274,8 @@ class TestRecoverMultipliers:
         g = make_single_game(Z_L=Z, I_L=IL, R=R, alpha=(1.0, 1.0, 1.0),
                              l=1.0, p_r=1e-3,
                              refs=(IL, 0.0, R * IL))  # V_ref=0 kills trading
-        sol = solve_vi(g, tol=1e-12)
+        sol = solve_vi(g)
+        assert sol.method == "active_set"
         assert np.abs(sol.lambda_star).max() < 1e-7
         assert np.abs(sol.gamma_star).max() < 1e-7
 

@@ -192,8 +192,5 @@ def consensus_errors(cs: ControllerState, g: GameDefinition):
     """(estimate spread, weighted multiplier spread), both inf-norms."""
     ups_spread = float(cs.upsilon.max() - cs.upsilon.min())
     rl = g.weights.r[:, None] * cs.lam
-    lam_spread = 0.0
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            lam_spread = max(lam_spread, float(np.abs(rl[i] - rl[j]).max()))
+    lam_spread = float((rl.max(0) - rl.min(0)).max())
     return ups_spread, lam_spread

@@ -1,17 +1,20 @@
 """Centralized equilibrium computation and run diagnostics.
 
-Independent of the distributed controller: solves the trading game's
-variational inequality over the coupled feasible set exactly by an
-active-set iteration, certified by the recovered multipliers (with
-extragradient iteration and Dykstra projections as the fallback and the
-independent cross-check), and provides the quasi-steady-state (reduced)
-dynamics and energy diagnostics used to certify simulation runs.
+Independent of the distributed controller.  One active-set iteration
+over the box entries (free, pinned on a bound, or saturated outside it
+with its penalty's force) serves both equilibria the package needs: the
+trading game's variational inequality over the coupled feasible set,
+certified by the recovered multipliers (with extragradient iteration and
+Dykstra projections as the fallback and the independent cross-check),
+and the attractor of the penalized closed loop.  Also provides the
+quasi-steady-state (reduced) dynamics and energy diagnostics used to
+certify simulation runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +23,8 @@ from .controller import ControllerParams, ControllerState, controller_rhs, \
     fast_equilibrium
 from .game import GameDefinition, local_gradient, pseudo_gradient
 from .plant import PlantState, plant_rhs
-from .topology import laplacian, laplacian_pinv
+from .pwa import ABOVE, BELOW, INTERIOR, LOWER, REGIME_NAMES, UPPER
+from .topology import MicrogridTopology, laplacian, laplacian_pinv
 
 
 class _ZLayout:
@@ -168,19 +172,35 @@ def _pseudo_gradient_z(g: GameDefinition, zl: _ZLayout):
     return F
 
 
+def _game_map(g: GameDefinition, zl: _ZLayout):
+    """The affine weighted game map as ``z -> G z + g0`` (no penalties).
+
+    Decision-block rows are r_i times unit-vector probes of the smooth
+    local gradient; the voltage-dynamics rows are r_i a_u (u_i - u_ref).
+    """
+    lay = g.layout
+    w = g.weights
+    G = np.zeros((zl.size, zl.size))
+    g0 = np.zeros(zl.size)
+    agg0 = local_gradient(g, np.zeros(lay.size), np.zeros(g.n),
+                          with_penalty=False)
+    e = np.zeros(lay.size)
+    for j in range(lay.size):
+        e[j] = 1.0
+        col = local_gradient(g, e, np.full(g.n, e[lay.ix_I].sum()),
+                             with_penalty=False) - agg0
+        G[zl.z_of_x, zl.z_of_x[j]] = w.r[lay.agent_of_pos] * col
+        e[j] = 0.0
+    g0[zl.z_of_x] = w.r[lay.agent_of_pos] * agg0
+    G[zl.z_of_u, zl.z_of_u] = w.r * w.alpha_u
+    g0[zl.z_of_u] = -w.r * w.alpha_u * g.plant.u_ref
+    return G, g0
+
+
 def game_map_matrix(g: GameDefinition) -> np.ndarray:
     """Matrix of the affine game map over the joint vector (u_i, x_i per
-    agent, as in the oracle's layout), exact from unit-vector probes."""
-    zl = _ZLayout(g)
-    F = _pseudo_gradient_z(g, zl)
-    G = np.empty((zl.size, zl.size))
-    F0 = F(np.zeros(zl.size))
-    e = np.zeros(zl.size)
-    for j in range(zl.size):
-        e[j] = 1.0
-        G[:, j] = F(e) - F0
-        e[j] = 0.0
-    return G
+    agent, as in the oracle's layout)."""
+    return _game_map(g, _ZLayout(g))[0]
 
 
 def solve_vi(g: GameDefinition) -> EquilibriumSolution:
@@ -189,19 +209,16 @@ def solve_vi(g: GameDefinition) -> EquilibriumSolution:
 
     The weighted game map is affine and the feasible set is a polyhedron
     (affine balances intersected with the voltage/line boxes), so the
-    finite active-set iteration of :func:`_active_set_polish`, started
-    from the reference point clipped into the boxes, solves it exactly
-    (Facchinei & Pang, *Finite-Dimensional Variational Inequalities and
+    finite active-set iteration of :func:`_active_set`, started from the
+    reference point clipped into the boxes, solves it exactly (Facchinei
+    & Pang, *Finite-Dimensional Variational Inequalities and
     Complementarity Problems*, 2003).  The answer is returned only when
     :func:`_certified` accepts it; otherwise the solve falls back to
     :func:`_solve_extragradient`, which raises RuntimeError when the
     feasible set is empty.  Deterministic.
     """
-    zl, M, c = _affine_rows(g)
-    lo, hi = _box_bounds(g, zl)
-    start = np.clip(zl.join(g.plant.u_ref, g.x_ref), lo, hi)
-    sol = _certified(g, zl, M, c, lo, hi,
-                     _active_set_polish(g, zl, start, lo, hi))
+    face = _active_set(g)
+    sol = None if face is None else _certified(g, face[0])
     return sol if sol is not None else _solve_extragradient(g)
 
 
@@ -218,7 +235,8 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
     estimate of the weighted game map.  Terminates when the fixed-point
     residual ``|z - P(z - tau F(z))|_inf`` drops below ``tol`` (or after
     ``max_iter`` iterations), then refines the final face with
-    :func:`_active_set_polish`.  Raises RuntimeError when the feasible
+    :func:`_active_set` (keeping the raw iterate when that finds no
+    consistent face).  Raises RuntimeError when the feasible
     set is empty; deterministic.
     """
     zl, M, c = _affine_rows(g)
@@ -248,8 +266,8 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
             break
         z = proj.project(z - tau * F(z_half))
     converged = residual < tol
-    z = _active_set_polish(g, zl, z, lo, hi)
-    u, x = zl.split(z)
+    face = _active_set(g, z=z)
+    u, x = zl.split(z if face is None else face[0])
     sol = EquilibriumSolution(u, x, np.zeros(g.n + g.m), np.zeros(g.n),
                               it, residual, converged, "extragradient",
                               history=history)
@@ -261,7 +279,7 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
     return sol
 
 
-def _certified(g, zl, M, c, lo, hi, z):
+def _certified(g, z):
     """Certified solution at ``z``, or None when the certificate fails.
 
     Primal: the balances hold to 1e-8 and every box holds up to the
@@ -271,6 +289,8 @@ def _certified(g, zl, M, c, lo, hi, z):
     relative to max(1, the size of the stationarity right-hand side), and
     every active box's force points into the box.
     """
+    zl, M, c = _affine_rows(g)
+    lo, hi = _box_bounds(g, zl)
     gap = float(np.abs(M @ z - c).max())
     if not gap <= 1e-8 \
             or (z < lo - 1e-12 * np.maximum(1.0, np.abs(lo))).any() \
@@ -293,54 +313,92 @@ def _certified(g, zl, M, c, lo, hi, z):
     return sol
 
 
-def _active_set_polish(g, zl, z, lo, hi, detect_tol=1e-4, max_rounds=40):
-    """Exact refinement of an approximate solution over the box faces.
+def _face_solve(G, g0, M, c, lo, hi, cap, state):
+    """Solve ``G z + g0 + M^T mu + pin forces = 0``, ``M z = c`` on one
+    face: ``state`` (a :mod:`pwa` regime per entry) pins LOWER/UPPER
+    entries to their bound and adds -cap (BELOW) or +cap (ABOVE) to
+    saturated rows.  Returns (z, mu, pin forces in entry order)."""
+    shift = g0.copy()
+    below, above = state == BELOW, state == ABOVE
+    shift[below] -= cap[below]
+    shift[above] += cap[above]
+    pins = np.flatnonzero((state == LOWER) | (state == UPPER))
+    E = np.zeros((pins.size, g0.size))
+    E[np.arange(pins.size), pins] = 1.0
+    Meq = np.vstack([M, E])
+    ceq = np.concatenate([c, np.where(state[pins] == LOWER, lo[pins],
+                                      hi[pins])])
+    k = Meq.shape[0]
+    K = np.block([[G, Meq.T], [Meq, np.zeros((k, k))]])
+    sol = np.linalg.solve(K, np.concatenate([-shift, ceq]))
+    nz, nc = g0.size, c.size
+    return sol[:nz], sol[nz:nz + nc], sol[nz + nc:]
 
-    Starting from the bounds the iterate touches, alternately solves the
-    equality-pinned stationarity system, drops pins whose force points
-    the wrong way and adds bounds the free solve violates, until the
-    point is primal and dual feasible.  Falls back to the raw iterate if
-    no consistent face is found within ``max_rounds``.
+
+def _active_set(g: GameDefinition, cp: ControllerParams = None, z=None):
+    """Primal-dual active-set solve over the box faces (Hintermüller,
+    Ito & Kunisch, SIAM J. Optim. 13(3), 2002).
+
+    Without ``cp``: the game's variational inequality, every box holding
+    any force.  With ``cp``: the penalized closed loop's attractor; the
+    voltage rows carry the controller's eps_u I_i coupling and a box
+    holds at most its penalty's force, r_i rho_V (voltage) or r_edge
+    rho_Il (line), beyond which the entry leaves and the penalty
+    saturates.  From the bounds within 1e-4 of ``z`` (default: the
+    reference point clipped into the boxes) each round solves the face
+    and moves one entry, first rule that applies: free the most
+    wrong-signed pin; saturate the pin most over its cap; re-pin the
+    saturated entry furthest back inside; pin the most violated free
+    entry.  Returns (z, balance multipliers, regime per entry, force per
+    entry), or None on a singular or non-finite face or after
+    max(40, 2 len(z)) rounds.
     """
-    x_of_z = {int(zj): xi for xi, zj in enumerate(zl.z_of_x)}
-    cand = {}
-    for j in range(len(z)):
-        if np.isfinite(lo[j]) and z[j] - lo[j] <= detect_tol:
-            cand[j] = ("lo", lo[j])
-        elif np.isfinite(hi[j]) and hi[j] - z[j] <= detect_tol:
-            cand[j] = ("hi", hi[j])
-    active = dict(cand)
-    for _ in range(max_rounds):
-        pins = tuple((x_of_z[j], b) for j, (_, b) in sorted(active.items()))
+    zl, M, c = _affine_rows(g)
+    lo, hi = _box_bounds(g, zl)
+    G, g0 = _game_map(g, zl)
+    cap = np.full(zl.size, np.inf)
+    if cp is not None:
+        lay = g.layout
+        G[zl.z_of_u, zl.z_of_x[lay.ix_I]] += cp.eps_u
+        cap[zl.z_of_x[lay.ix_V]] = g.penalties.rho_V * g.weights.r
+        cap[zl.z_of_x[lay.ix_line]] = g.rho_Il_edge * g.r_edge
+    if z is None:
+        z = np.clip(zl.join(g.plant.u_ref, g.x_ref), lo, hi)
+    state = np.where(z - lo <= 1e-4, LOWER,
+                     np.where(hi - z <= 1e-4, UPPER, INTERIOR))
+    none = np.full(zl.size, -np.inf)
+    for _ in range(max(40, 2 * zl.size)):
         try:
-            u, x, lam, gamma, forces = _equality_kkt(g, None, pinned=pins)
+            zf, mu, pin_forces = _face_solve(G, g0, M, c, lo, hi, cap, state)
         except np.linalg.LinAlgError:
-            return z
-        znew = zl.join(u, x)
-        keys = sorted(active)
-        worst_key, worst_val = None, -1e-9
-        for idx, j in enumerate(keys):
-            side = active[j][0]
-            bad = forces[idx] if side == "lo" else -forces[idx]
-            if bad > worst_val:
-                worst_key, worst_val = j, bad
-        if worst_val > 1e-9:
-            del active[worst_key]
-            continue
-        viol_j, viol_amt = None, 1e-12
-        for j in range(len(znew)):
-            if j in active:
-                continue
-            if np.isfinite(lo[j]) and lo[j] - znew[j] > viol_amt:
-                viol_j, viol_amt = j, lo[j] - znew[j]
-                side = ("lo", lo[j])
-            if np.isfinite(hi[j]) and znew[j] - hi[j] > viol_amt:
-                viol_j, viol_amt = j, znew[j] - hi[j]
-                side = ("hi", hi[j])
-        if viol_j is None:
-            return znew
-        active[viol_j] = side
-    return z
+            return None
+        if not (np.isfinite(zf).all() and np.isfinite(pin_forces).all()):
+            return None
+        lower = state == LOWER
+        pinned = lower | (state == UPPER)
+        force = np.where(state == BELOW, -cap,
+                         np.where(state == ABOVE, cap, 0.0))
+        force[pinned] = pin_forces
+        inward = np.where(lower, -force, force)
+        rules = (
+            (np.where(pinned, -inward, none), 1e-9,
+             np.full(zl.size, INTERIOR)),
+            (np.where(pinned, inward - cap, none), 1e-9,
+             np.where(lower, BELOW, ABOVE)),
+            (np.where(state == BELOW, zf - lo,
+                      np.where(state == ABOVE, hi - zf, none)),
+             1e-12, np.where(state == BELOW, LOWER, UPPER)),
+            (np.where(state == INTERIOR, np.maximum(lo - zf, zf - hi), none),
+             1e-12, np.where(zf < lo, LOWER, UPPER)),
+        )
+        for score, tol, target in rules:
+            j = int(np.argmax(score))
+            if score[j] > tol:
+                state[j] = target[j]
+                break
+        else:
+            return zf, mu, state, force
+    return None
 
 
 def recover_multipliers(sol: EquilibriumSolution, g: GameDefinition,
@@ -364,13 +422,8 @@ def recover_multipliers(sol: EquilibriumSolution, g: GameDefinition,
     r_row = w.r[lay.agent_of_pos]
     rhs = -r_row * smooth + gamma[lay.agent_of_pos] * g.constraints.D_stack
 
-    lo_b = np.full(lay.size, -np.inf)
-    hi_b = np.full(lay.size, np.inf)
-    lo_b[lay.ix_V] = p.V_min
-    hi_b[lay.ix_V] = p.V_max
-    if g.m:
-        lo_b[lay.ix_line] = p.Il_min
-        hi_b[lay.ix_line] = p.Il_max
+    zl = _ZLayout(g)
+    lo_b, hi_b = (b[zl.z_of_x] for b in _box_bounds(g, zl))
     active_lower = np.abs(x - lo_b) <= active_tol
     active_upper = np.abs(x - hi_b) <= active_tol
     inactive = ~(active_lower | active_upper)
@@ -386,82 +439,31 @@ def recover_multipliers(sol: EquilibriumSolution, g: GameDefinition,
                               box_forces, max(1.0, float(np.abs(rhs).max())))
 
 
-def affine_kkt_solve(g: GameDefinition, pinned=()):
-    """Direct linear equilibrium solve ignoring the boxes.
-
-    Stationarity of the weighted game map plus the affine balances, with
-    optional pinned decision entries (``(x_position, value)`` pairs).
-    Valid whenever no box is active (or the active set is supplied as
-    pins); serves as the independent cross-check for the iterative
-    solver.  Returns (u, x, lambda_shared, gamma, pin_forces).
-    """
-    return _equality_kkt(g, None, pinned=pinned, saturated=())
-
-
-def _equality_kkt(g: GameDefinition, cp, pinned=(), saturated=()):
-    """Equality-constrained stationarity solve.
-
-    The voltage-dynamics row is the trading game's r_i a_u (u_i - u_ref);
-    with cp given it also carries the controller's eps_u I_i coupling
-    (measured current equal to the decision copy's at equilibrium).
-    ``saturated``: (x_position, force) pairs adding a constant to the
-    stationarity row (saturated penalty branches).
-    """
+def affine_kkt_solve(g: GameDefinition):
+    """Direct linear equilibrium solve ignoring the boxes: the face of
+    :func:`_active_set` with every entry free.  Valid whenever no box is
+    active.  Returns (u, x, lambda_shared, gamma)."""
     zl, M, c = _affine_rows(g)
-    lay = g.layout
-    w = g.weights
-    nz = zl.size
-    G = np.zeros((nz, nz))
-    g0 = np.zeros(nz)
-    agg0 = local_gradient(g, np.zeros(lay.size), np.zeros(g.n),
-                          with_penalty=False)
-    # decision-block rows: r_i * smooth gradient (affine in x)
-    e = np.zeros(lay.size)
-    for j in range(lay.size):
-        e[j] = 1.0
-        col = local_gradient(g, e, np.full(g.n, e[lay.ix_I].sum()),
-                             with_penalty=False) - agg0
-        G[zl.z_of_x, zl.z_of_x[j]] = w.r[lay.agent_of_pos] * col
-        e[j] = 0.0
-    g0[zl.z_of_x] = w.r[lay.agent_of_pos] * agg0
-    G[zl.z_of_u, zl.z_of_u] = w.r * w.alpha_u
-    g0[zl.z_of_u] = -w.r * w.alpha_u * g.plant.u_ref
-    if cp is not None:
-        for i in range(g.n):
-            G[zl.z_of_u[i], zl.z_of_x[lay.ix_I[i]]] += cp.eps_u
-    for pos, force in saturated:
-        g0[zl.z_of_x[pos]] += force
-
-    rows = [M]
-    vals = [c]
-    for pos, value in pinned:
-        row = np.zeros((1, nz))
-        row[0, zl.z_of_x[pos]] = 1.0
-        rows.append(row)
-        vals.append(np.array([float(value)]))
-    Meq = np.vstack(rows)
-    ceq = np.concatenate(vals)
-    k = Meq.shape[0]
-    K = np.block([[G, Meq.T], [Meq, np.zeros((k, k))]])
-    sol = np.linalg.solve(K, np.concatenate([-g0, ceq]))
-    z = sol[:nz]
-    mults = sol[nz:]
+    lo, hi = _box_bounds(g, zl)
+    G, g0 = _game_map(g, zl)
+    z, mu, _ = _face_solve(G, g0, M, c, lo, hi, np.full(zl.size, np.inf),
+                           np.full(zl.size, INTERIOR))
     u, x = zl.split(z)
-    lam = mults[:g.n + g.m]
-    gamma = mults[g.n + g.m:g.n + g.m + g.n]
-    pin_forces = mults[g.n + g.m + g.n:]
-    return u, x, lam, gamma, pin_forces
+    return u, x, mu[:g.n + g.m], mu[g.n + g.m:]
 
 
 @dataclass
 class ClosedLoopEquilibrium:
-    """Exact attractor of the penalized closed loop (piecewise-affine solve).
+    """Exact attractor of the penalized closed loop.
 
-    ``regimes[i]`` is the voltage-penalty branch of agent i:
-    'interior', 'kink' (exactly on the lower bound, holding force within
-    the penalty's range) or 'saturated' (below the bound, penalty maxed
-    out).  ``controller`` bundles the stacked controller state including
-    recovered multiplier rows; ``plant`` the matching grid state.
+    ``regimes`` and ``forces`` follow the penalized entries in
+    ``ClosedLoop.psrc`` order (voltages by agent, then lines by edge).
+    ``regimes`` are :data:`pwa.REGIME_NAMES`; ``forces`` the force each
+    box adds to its stationarity row: 0 inside, within [-cap, 0] sliding
+    on a lower and [0, cap] on an upper bound, -cap below, +cap above
+    (cap = r_i rho_V or r_edge rho_Il).  ``controller`` bundles the
+    stacked controller state including recovered multiplier rows;
+    ``plant`` the matching grid state.
     """
 
     u_star: np.ndarray
@@ -469,75 +471,48 @@ class ClosedLoopEquilibrium:
     lambda_shared: np.ndarray
     gamma: np.ndarray
     regimes: tuple
-    kink_forces: dict
+    forces: np.ndarray
     controller: ControllerState
     plant: PlantState
 
 
-def closed_loop_equilibrium(g: GameDefinition, cp: ControllerParams,
-                            check_lines: bool = True) -> ClosedLoopEquilibrium:
-    """Enumerate voltage-penalty regimes to find the controller attractor.
+def closed_loop_equilibrium(g: GameDefinition,
+                            cp: ControllerParams) -> ClosedLoopEquilibrium:
+    """The controller's attractor, by :func:`_active_set` with ``cp``.
 
-    Each agent's voltage can end up interior, exactly on its lower bound
-    (sliding) or below it with the penalty saturated; the consistent
-    combination is unique for a strictly monotone game.  Line penalties
-    are verified inactive.  Raises RuntimeError when no consistent
-    regime exists within those cases.
+    Each voltage and line entry ends interior, sliding on a bound or
+    beyond it with its penalty saturated; the consistent combination is
+    unique for a strictly monotone game.  Raises RuntimeError when the
+    active-set iteration finds none.
     """
+    face = _active_set(g, cp)
+    if face is None:
+        raise RuntimeError(
+            "no consistent penalty regime found for the closed loop")
+    z, mu, state, force = face
     lay = g.layout
     w = g.weights
-    p = g.plant
-    for regimes in product(("interior", "kink", "saturated"), repeat=g.n):
-        pinned = []
-        saturated = []
-        for i, reg in enumerate(regimes):
-            pos = int(lay.ix_V[i])
-            if reg == "kink":
-                pinned.append((pos, p.V_min[i]))
-            elif reg == "saturated":
-                saturated.append((pos, -w.r[i] * g.penalties.rho_V[i]))
-        try:
-            u, x, lam, gamma, forces = _equality_kkt(
-                g, cp, pinned=tuple(pinned), saturated=tuple(saturated))
-        except np.linalg.LinAlgError:
-            continue
-        ok = True
-        kf = {}
-        kidx = 0
-        for i, reg in enumerate(regimes):
-            v = x[lay.ix_V[i]]
-            cap = w.r[i] * g.penalties.rho_V[i]
-            if reg == "interior":
-                ok &= p.V_min[i] + 1e-12 < v < p.V_max[i] - 1e-12
-            elif reg == "saturated":
-                ok &= v < p.V_min[i] - 1e-12
-            else:
-                force = forces[kidx]
-                kidx += 1
-                ok &= -cap - 1e-9 <= force <= 1e-9
-                kf[i + 1] = float(force)
-        if check_lines and g.m:
-            Il = x[lay.ix_line]
-            ok &= bool((Il > p.Il_min + 1e-9).all() and (Il < p.Il_max - 1e-9).all())
-        if not ok:
-            continue
-        for i, reg in enumerate(regimes):  # place pinned entries exactly
-            if reg == "kink":
-                x[lay.ix_V[i]] = p.V_min[i]
-        Ihat = x[lay.ix_I]
-        ups, nu = fast_equilibrium(Ihat, g.comm_topo)
-        lam_rows = np.outer(1.0 / w.r, lam)
-        feas = np.zeros((g.n, g.n + g.m))
-        con = g.constraints
-        for i in range(g.n):
-            feas[i] = con.A_blocks[i] @ x[lay.block(i + 1)] - con.s_A_blocks[i]
-        theta = laplacian_pinv(g.comm_topo) @ feas
-        cs = ControllerState(ups, nu, u.copy(), x.copy(), lam_rows, theta,
-                             gamma.copy())
-        plant = PlantState(Ihat.copy(), x[lay.ix_V].copy(),
-                           x[lay.ix_line].copy())
-        return ClosedLoopEquilibrium(u, x, lam, gamma, regimes, kf, cs, plant)
-    raise RuntimeError("no consistent penalty regime found for the closed loop")
+    zl = _ZLayout(g)
+    lo, hi = _box_bounds(g, zl)
+    z = np.where(state == LOWER, lo, np.where(state == UPPER, hi, z))
+    u, x = zl.split(z)
+    lam, gamma = mu[:g.n + g.m], mu[g.n + g.m:]
+    box = zl.z_of_x[np.concatenate([lay.ix_V, lay.ix_line])]
+    regimes = tuple(REGIME_NAMES[s] for s in state[box])
+    Ihat = x[lay.ix_I]
+    ups, nu = fast_equilibrium(Ihat, g.comm_topo)
+    lam_rows = np.outer(1.0 / w.r, lam)
+    feas = np.zeros((g.n, g.n + g.m))
+    con = g.constraints
+    for i in range(g.n):
+        feas[i] = con.A_blocks[i] @ x[lay.block(i + 1)] - con.s_A_blocks[i]
+    theta = laplacian_pinv(g.comm_topo) @ feas
+    cs = ControllerState(ups, nu, u.copy(), x.copy(), lam_rows, theta,
+                         gamma.copy())
+    plant = PlantState(Ihat.copy(), x[lay.ix_V].copy(),
+                       x[lay.ix_line].copy())
+    return ClosedLoopEquilibrium(u, x, lam, gamma, regimes, force[box], cs,
+                                 plant)
 
 
 def reduced_model_rhs(plant_state: PlantState, cs: ControllerState,
@@ -560,14 +535,21 @@ def reduced_model_rhs(plant_state: PlantState, cs: ControllerState,
 
 
 def boundary_layer_energy_matrix(g: GameDefinition) -> np.ndarray:
-    """Quadratic form of the estimator-error energy; PSD by construction."""
-    Lap = laplacian(g.comm_topo)
-    n = g.n
+    """Quadratic form of the estimator-error energy; PSD by construction.
+    Computed once per communication graph and read-only."""
+    return _energy_form(g.comm_topo)
+
+
+@lru_cache(maxsize=64)
+def _energy_form(topo: MicrogridTopology) -> np.ndarray:
+    Lap = laplacian(topo)
+    n = topo.n
     sigma = float(np.linalg.norm(Lap, 2))
     Q = sigma * np.eye(2 * n)
     Q[:n, :n] += 0.5 * (np.eye(n) + Lap)
     Q[:n, n:] += 0.5 * Lap
     Q[n:, :n] += 0.5 * Lap
+    Q.flags.writeable = False
     return Q
 
 

@@ -69,7 +69,8 @@ class TestControllerRhs:
         d = controller_rhs(eq.controller, eq.plant.I, ref_game, ref_cp)
         vec = d.to_vector()
         lay = ref_game.layout
-        sliding = [i for i, reg in enumerate(eq.regimes) if reg == "kink"]
+        sliding = [i for i, reg in enumerate(eq.regimes)
+                   if reg == "lower-sliding"]
         mask = np.ones(vec.size, dtype=bool)
         base = 3 * ref_game.n
         for i in sliding:
@@ -180,6 +181,19 @@ class TestConsensusErrors:
                                                   ref_game)
         assert ups_spread < 1e-9
         assert lam_spread < 1e-9
+
+    def test_matches_pairwise_spread(self, ref_game):
+        """Column max minus min equals the largest pairwise difference
+        bit for bit: rounding a subtraction is monotone."""
+        rng = np.random.default_rng(3)
+        cs = ControllerState.zeros(ref_game)
+        for _ in range(20):
+            cs.lam = rng.normal(scale=10.0 ** rng.integers(-3, 4),
+                                size=cs.lam.shape)
+            rl = ref_game.weights.r[:, None] * cs.lam
+            pairwise = max(np.abs(rl[i] - rl[j]).max()
+                           for i in range(4) for j in range(i + 1, 4))
+            assert consensus_errors(cs, ref_game)[1] == pairwise
 
 
 class TestConservation:

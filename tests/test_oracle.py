@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridtrade as gt
 from gridtrade import ControllerParams, affine_kkt_solve, \
     closed_loop_equilibrium, lyapunov_diagnostics, recover_multipliers, \
     reduced_model_rhs, solve_vi
 from gridtrade.controller import ControllerState, controller_rhs
+from gridtrade.engine import ClosedLoop
 from gridtrade.oracle import FeasibleSetProjector, _affine_rows, _box_bounds, \
     _solve_extragradient, boundary_layer_energy_matrix
 from gridtrade.plant import PlantState
@@ -53,7 +55,7 @@ class TestSolveVi:
 
     def test_wide_boxes_match_direct_solve(self, wide_box_game):
         sol = solve_vi(wide_box_game)
-        u, x, lam, gamma, _ = affine_kkt_solve(wide_box_game)
+        u, x, lam, gamma = affine_kkt_solve(wide_box_game)
         assert np.abs(sol.u_star - u).max() < 1e-8
         assert np.abs(sol.x_star - x).max() < 1e-8
         assert np.abs(sol.lambda_star - lam).max() < 1e-6
@@ -168,7 +170,7 @@ class TestSolveVi:
             solve_vi(g)
 
 
-def ring_game(n):
+def ring_scenario(n):
     """n DGUs on a ring, repeating ring4's per-agent records; alpha_I and
     the base price grow with n so the game stays strictly monotone and
     the price margin positive."""
@@ -182,7 +184,11 @@ def ring_game(n):
                     for w in (d["weights"][i % 4] for i in range(n))]
     d["price"]["l"] = 5.0 * n / 4
     d["penalties"] = {"rho_V": [1200] * n, "rho_Il": [1000] * n}
-    return gt.Scenario.from_dict(d).game()
+    return gt.Scenario.from_dict(d)
+
+
+def ring_game(n):
+    return ring_scenario(n).game()
 
 
 class TestActiveSet:
@@ -212,8 +218,8 @@ class TestActiveSet:
                                          monkeypatch):
         from gridtrade import oracle
 
-        monkeypatch.setattr(oracle, "_active_set_polish",
-                            lambda g, zl, z, lo, hi: z)
+        monkeypatch.setattr(oracle, "_active_set",
+                            lambda g, cp=None, z=None: None)
         sol = solve_vi(ref_game)
         assert sol.method == "extragradient"
         assert sol.iterations > 0
@@ -294,14 +300,17 @@ class TestRecoverMultipliers:
 class TestClosedLoopEquilibrium:
     def test_reference_regimes(self, ref_attractor, ref_game):
         eq = ref_attractor
-        assert eq.regimes == ("saturated", "interior", "interior", "kink")
+        # voltages of DGUs 1-4, then the four lines
+        assert eq.regimes == ("below", "interior", "interior",
+                              "lower-sliding") + ("interior",) * 4
         lay = ref_game.layout
         V = eq.x_star[lay.ix_V]
         assert V[0] < 377.0          # saturated penalty cannot hold the box
         assert V[3] == 377.0
-        force = eq.kink_forces[4]
-        cap = ref_game.weights.r[3] * ref_game.penalties.rho_V[3]
-        assert -cap <= force <= 0.0
+        cap = ref_game.weights.r * ref_game.penalties.rho_V
+        assert eq.forces[0] == -cap[0]
+        assert -cap[3] <= eq.forces[3] <= 0.0
+        assert (eq.forces[[1, 2, 4, 5, 6, 7]] == 0.0).all()
 
     def test_matches_oracle_when_penalties_suffice(self, ref_scenario,
                                                    ref_solution):
@@ -314,7 +323,7 @@ class TestClosedLoopEquilibrium:
         pen = gt.PenaltyParams([2500.0] * 4, scn.penalties.rho_Il)
         g = gt.build_game(scn.topo, scn.plant, scn.price, scn.weights, pen)
         eq = closed_loop_equilibrium(g, CP)
-        assert "saturated" not in eq.regimes
+        assert not {"below", "above"} & set(eq.regimes)
         gap_u = np.abs(eq.u_star - ref_solution.u_star).max()
         gap_x = np.abs(eq.x_star - ref_solution.x_star).max()
         assert gap_u < 0.05
@@ -344,6 +353,64 @@ class TestClosedLoopEquilibrium:
         p = ref_scenario.plant
         balance = np.concatenate([d.I * p.L, d.V * p.C, d.I_l * p.L_l])
         assert np.abs(balance).max() < 1e-8
+
+
+def assert_filippov_equilibrium(g, cp):
+    """The attractor, packed into the closed loop, is a Filippov
+    equilibrium of the penalized flow: the flow classifies every
+    penalized entry in the regime the oracle names, every row but the
+    sliding ones is at rest, and each sliding row's equivalent force
+    (``-(M y + c)`` on a lower face, ``M y + c`` on an upper one) is the
+    box force the oracle reports and lies in [0, r rho]."""
+    eq = closed_loop_equilibrium(g, cp)
+    loop = ClosedLoop(g, cp)
+    y = loop.pack(eq.plant, eq.controller)
+    assert loop.flow().regime_names(y) == eq.regimes
+    sliding = np.array([r.endswith("-sliding") for r in eq.regimes])
+    rows = loop.psrc[sliding]
+    rest = np.ones(y.size, dtype=bool)
+    rest[rows] = False
+    tol = 1e-9 * np.abs(y).max()
+    assert np.abs(loop.rhs_fast(0.0, y)[rest]).max() <= tol
+    upper = np.array([r == "upper-sliding" for r in eq.regimes])[sliding]
+    held = np.where(upper, 1.0, -1.0) * (loop.M[rows] @ y + loop.c[rows])
+    cap = (loop.prho * loop.pscl)[sliding]
+    assert (held >= -tol).all() and (held <= cap + tol).all()
+    assert (np.abs(held - np.abs(eq.forces[sliding])) <= tol).all()
+    return eq
+
+
+class TestFilippovCertificate:
+    @pytest.mark.parametrize("era", ["ref_game", "ref_post_game"])
+    def test_reference_eras(self, era, ref_cp, request):
+        eq = assert_filippov_equilibrium(request.getfixturevalue(era), ref_cp)
+        assert "below" in eq.regimes     # DGU 1's penalty saturates
+
+    @pytest.mark.parametrize("eps_u", [0.1, 1e-6])
+    def test_sufficient_penalty(self, ref_scenario, eps_u):
+        scn = ref_scenario
+        pen = gt.PenaltyParams([2500.0] * 4, scn.penalties.rho_Il)
+        g = gt.build_game(scn.topo, scn.plant, scn.price, scn.weights, pen)
+        eq = assert_filippov_equilibrium(g, ControllerParams(0.01, eps_u))
+        assert not {"below", "above"} & set(eq.regimes)
+
+    @pytest.mark.parametrize("era", [0, 1])
+    def test_ring16(self, era):
+        scn = ring_scenario(16)
+        plant = scn.plant if era == 0 else gt.apply_load_step(scn.plant,
+                                                              3.0, 3.0)
+        eq = assert_filippov_equilibrium(scn.game(plant), scn.controller)
+        assert len(eq.regimes) == 32
+
+    @settings(max_examples=20, deadline=None)
+    @given(rho_V=st.lists(st.floats(300.0, 5000.0), min_size=4, max_size=4),
+           eps_u=st.floats(1e-6, 0.5))
+    def test_random_penalties_and_coupling(self, ref_scenario, rho_V, eps_u):
+        scn = ref_scenario
+        pen = gt.PenaltyParams(rho_V, scn.penalties.rho_Il)
+        g = gt.build_game(scn.topo, scn.plant, scn.price, scn.weights, pen,
+                          validate=False)
+        assert_filippov_equilibrium(g, ControllerParams(0.01, eps_u))
 
 
 class TestReducedModel:

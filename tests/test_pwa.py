@@ -8,9 +8,6 @@ from gridtrade import pwa
 from gridtrade.engine import ClosedLoop, Scenario, run_scenario, write_csv
 from gridtrade.scenarios import ring4_dict
 
-REGIME_OF = {"saturated": "below", "kink": "lower-sliding",
-             "interior": "interior"}
-
 
 @pytest.fixture(scope="module")
 def ref_loop(ref_game, ref_cp):
@@ -135,7 +132,7 @@ class TestLongRun:
         eq = gt.closed_loop_equilibrium(g, ref_cp)
         loop = ClosedLoop(g, ref_cp)
         names = loop.flow().regime_names(y)
-        assert names[:4] == tuple(REGIME_OF[r] for r in eq.regimes)
+        assert names == eq.regimes
         assert names[4:] == ("interior",) * 4
         plant, cs = loop.unpack(y)
         assert np.abs(cs.xhat - eq.x_star).max() < 1e-6

@@ -25,6 +25,11 @@ class IntegrationError(RuntimeError):
         self.trajectory = trajectory
 
 
+class GridError(ValueError):
+    """Time grid or event times refused by :func:`run_eras` before any
+    propagation."""
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk4"          # "rk4" | "rk45" | "pwa"
@@ -151,7 +156,7 @@ def rk45_samples(rhs, y, t0, n_samples, cfg, ctx):
 def run_eras(y0, cfg: IntegratorConfig, event_times, advance):
     """Sampled run over the eras that ``event_times`` cut [0, t_end] into.
 
-    The package's one time-grid runner.  Raises ``ValueError`` before
+    The package's one time-grid runner.  Raises :class:`GridError` before
     propagating unless the event times increase strictly inside
     (0, t_end], they and ``t_end`` sit on the sample grid, and, for
     ``rk4``, the sample period is a whole number of steps.
@@ -166,17 +171,17 @@ def run_eras(y0, cfg: IntegratorConfig, event_times, advance):
     times = list(event_times)
     sp = cfg.sample_period
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("event times must be strictly increasing")
+        raise GridError("event times must be strictly increasing")
     if any(not (0.0 < t <= cfg.t_end) for t in times):
-        raise ValueError("event times must lie in (0, t_end]")
+        raise GridError("event times must lie in (0, t_end]")
     if cfg.method == "rk4" and not _is_multiple(sp, cfg.dt):
-        raise ValueError("sample_period must be an integer multiple of dt")
+        raise GridError("sample_period must be an integer multiple of dt")
     if not _is_multiple(cfg.t_end, sp):
-        raise ValueError(f"t_end {cfg.t_end} not on the sample grid "
-                         f"(sample_period {sp})")
+        raise GridError(f"t_end {cfg.t_end} not on the sample grid "
+                        f"(sample_period {sp})")
     for t in times:
         if not _is_multiple(t, sp):
-            raise ValueError(f"event time {t} not on the sample grid")
+            raise GridError(f"event time {t} not on the sample grid")
 
     y = np.array(y0, dtype=float)
     ts, ys, eras = [np.zeros(1)], [y[None].copy()], [np.zeros(1, dtype=int)]

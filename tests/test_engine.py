@@ -1,9 +1,11 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 import gridtrade as gt
+from gridtrade import _kernels, engine
 from gridtrade.engine import (ClosedLoop, ScenarioError, Scenario, csv_header,
                               parse_quantity, run_scenario)
 from gridtrade.controller import controller_rhs
@@ -60,6 +62,43 @@ class TestScenarioValidation:
                                    "t_end": "2 s"})
         with pytest.raises(ScenarioError, match="beyond t_end"):
             Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("value", [[], "rk4", [1]])
+    @pytest.mark.parametrize("section", [None, "topology", "integrator",
+                                         "controller", "output", "initial"])
+    def test_non_object_section_rejected(self, section, value):
+        if section is None:
+            d = value
+        else:
+            d = ring4_dict()
+            d[section] = value
+            d["dgus"][0]["Z_L"] = "banana"
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        errors = ei.value.errors
+        assert f"{section or 'scenario'}: expected a JSON object, got " \
+            f"{type(value).__name__}" in errors
+        if section is not None:     # the other errors are still collected
+            assert any(e.startswith("dgus[1]") for e in errors)
+
+    def test_load_step_to_nonpositive_impedance_rejected(self):
+        d = ring4_dict()
+        d["events"] = [{"time": "2 s", "d_ZL": "1 Ohm"},
+                       {"time": "5 s", "d_ZL": "15 Ohm"}]
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [
+            "events[2]: load step drives Z_L of DGU 1 to 0.0 <= 0"]
+
+    @pytest.mark.parametrize("key", ["I", "V", "I_l"])
+    def test_initial_plant_lengths_checked(self, key):
+        plant = {"I": [0] * 4, "V": [0] * 4, "I_l": [0] * 4}
+        plant[key] = plant[key][:3]
+        d = ring4_dict(initial={"plant": plant, "controller": "zeros"})
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [
+            f"initial.plant.{key}: expected 4 values, got 3"]
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +264,18 @@ class TestRunScenario:
         traj, _, _ = run_scenario(scn)
         assert np.array_equal(traj.y[0][12:16], [1, 2, 3, 4])
 
+    def test_kernel_value_error_not_relabelled(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("kernel failure")
+
+        monkeypatch.setattr(_kernels, "rk4_affine", broken)
+        scn = Scenario.from_dict(ring4_dict(
+            integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.001 s"},
+            events=[]))
+        with pytest.raises(ValueError, match="kernel failure") as ei:
+            run_scenario(scn)
+        assert ei.type is ValueError
+
     def test_nu_sum_guard(self):
         d = ring4_dict(
             integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.001 s"},
@@ -371,3 +422,49 @@ class TestFastSettlingScalesWithEps:
         t_fast = settle_time(0.001)
         t_slow = settle_time(0.01)
         assert 4.0 <= t_slow / t_fast <= 25.0
+
+
+class TestOneOperatorAtATime:
+    """``run_scenario`` holds one load era's closed loop (and its dense
+    ``M``) at a time: no other recorded loop or ``M`` is alive while a
+    loop is assembled or propagates."""
+
+    @pytest.mark.parametrize("method,reduced", [
+        ("rk4", False), ("pwa", False), ("rk45", False), ("rk4", True)])
+    def test_previous_era_released(self, monkeypatch, method, reduced):
+        refs = []    # (loop, M) weak references, one pair per assembly
+
+        def assert_alone(current=None):
+            for loop_ref, M_ref in refs:
+                if current is None or loop_ref() is not current:
+                    assert loop_ref() is None and M_ref() is None
+
+        class Recording(ClosedLoop):
+            def __init__(self, *args, **kwargs):
+                assert_alone()
+                super().__init__(*args, **kwargs)
+                refs.append((weakref.ref(self), weakref.ref(self.M)))
+
+            def run_segment(self, *args):
+                assert_alone(self)
+                return super().run_segment(*args)
+
+            def flow(self):
+                assert_alone(self)
+                return super().flow()
+
+            def rhs_fast(self, *args):
+                assert_alone(self)
+                return super().rhs_fast(*args)
+
+        monkeypatch.setattr(engine, "ClosedLoop", Recording)
+        scn = Scenario.from_dict(ring4_dict(
+            integrator={"method": method, "dt": "1e-5 s", "t_end": "0.003 s",
+                        "rtol": 1e-7, "atol": 1e-9},
+            events=[{"time": "0.001 s", "d_IL": "1 A"},
+                    {"time": "0.002 s", "d_ZL": "1 Ohm"}],
+            output={"sample_period": "1e-3 s"}))
+        traj, diag, _ = run_scenario(scn, reduced=reduced)
+        assert len(refs) == 3
+        assert list(traj.epoch) == [0, 0, 1, 1, 2, 2]
+        assert np.isfinite(diag).all()

@@ -6,7 +6,7 @@ from .controller import (ControllerParams, ControllerState, KktResidual,
 from .engine import (ClosedLoop, RunReport, Scenario, ScenarioError,
                      parse_quantity, run_scenario)
 from .game import (ConstraintData, GameDefinition, ObjectiveWeights,
-                   PenaltyParams, PriceParams, build_constraints, build_game,
+                   PenaltyBoxes, PenaltyParams, PriceParams, build_game,
                    check_price_margin, check_monotonicity, check_penalty_bounds,
                    cost, local_gradient, penalty_subgradient, pseudo_gradient)
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
@@ -18,6 +18,6 @@ from .plant import (DguParams, LineParams, PlantParams, PlantState,
                     SingularSystemError, apply_load_step, plant_equilibrium,
                     plant_rhs)
 from .topology import (AgentLayout, MicrogridTopology, incidence_matrix,
-                       laplacian, lifted_row_block)
+                       laplacian)
 
 __version__ = "0.1.0"

@@ -11,19 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def rk4_affine(M, c, y, psrc, plo, phi, prho, pscl, dt, steps, sample_every,
-               out):
+def rk4_affine(M, c, y, psrc, plo, phi, force, dt, steps, sample_every, out):
     """Advance ``steps`` RK4 steps in place, sampling every ``sample_every``.
 
-    Returns (samples_written, finite_flag); a False flag means the state
-    went non-finite at the last written sample.
+    Entry ``psrc[k]`` gains ``force[k]`` below ``plo[k]`` and loses it
+    above ``phi[k]``.  Returns (samples_written, finite_flag); a False
+    flag means the state went non-finite at the last written sample.
     """
     def rhs(yv):
         dy = M @ yv
         dy += c
         v = yv[psrc]
-        sel = np.where(v < plo, prho * pscl, 0.0)
-        sel -= np.where(v > phi, prho * pscl, 0.0)
+        sel = np.where(v < plo, force, 0.0)
+        sel -= np.where(v > phi, force, 0.0)
         dy[psrc] += sel
         return dy
 

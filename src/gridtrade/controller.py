@@ -92,7 +92,7 @@ def controller_rhs(cs: ControllerState, plant_I, g: GameDefinition,
     estimator.
     """
     plant_I = np.asarray(plant_I, dtype=float)
-    n, m = g.n, g.m
+    n = g.n
     lay = g.layout
     w = g.weights
     con = g.constraints
@@ -106,12 +106,12 @@ def controller_rhs(cs: ControllerState, plant_I, g: GameDefinition,
 
     Fbar = local_gradient(g, cs.xhat, cs.upsilon)
     r_row = w.r[lay.agent_of_pos]
-    AtLam = con.AT_stack @ cs.lam.ravel()
+    AtLam = con.agent_cols(cs.lam)
     d_xhat = -r_row * Fbar - r_row * AtLam - cs.gamma[lay.agent_of_pos] * con.D_stack
 
     W = w.r[:, None] * cs.lam + cs.theta
     consensus = Lap @ W
-    feas = (con.A_stack @ cs.xhat).reshape(n, n + m) - con.s_blocks_arr
+    feas = con.agent_rows(cs.xhat)
     d_lam = w.r[:, None] * (feas - consensus)
     d_theta = Lap @ (w.r[:, None] * cs.lam)
     d_gamma = -cs.u + g.plant.R * Ihat + cs.xhat[lay.ix_V]
@@ -154,7 +154,7 @@ def kkt_residual(cs: ControllerState, g: GameDefinition,
     to the subdifferential interval; 5: local voltage balance; 6-7:
     multiplier feasibility and weighted consensus.
     """
-    n, m = g.n, g.m
+    n = g.n
     lay = g.layout
     w = g.weights
     con = g.constraints
@@ -167,7 +167,7 @@ def kkt_residual(cs: ControllerState, g: GameDefinition,
 
     lo, hi = local_gradient_interval(g, cs.xhat, cs.upsilon)
     r_row = w.r[lay.agent_of_pos]
-    AtLam = con.AT_stack @ cs.lam.ravel()
+    AtLam = con.agent_cols(cs.lam)
     shift = r_row * AtLam + cs.gamma[lay.agent_of_pos] * con.D_stack
     set_lo = r_row * lo + shift
     set_hi = r_row * hi + shift
@@ -176,7 +176,7 @@ def kkt_residual(cs: ControllerState, g: GameDefinition,
     l5 = g.plant.R * Ihat + cs.xhat[lay.ix_V] - cs.u
     W = w.r[:, None] * cs.lam + cs.theta
     consensus = Lap @ W
-    feas = (con.A_stack @ cs.xhat).reshape(n, n + m) - con.s_blocks_arr
+    feas = con.agent_rows(cs.xhat)
     l6 = w.r[:, None] * (feas - consensus)
     l7 = Lap @ (w.r[:, None] * cs.lam)
 

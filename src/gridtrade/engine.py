@@ -267,8 +267,9 @@ class Scenario:
                                       f"values, got {got}")
         elif initial_plant not in ("equilibrium", "zeros"):
             errors.append(f"initial.plant: unknown mode {initial_plant!r}")
-        if not isinstance(initial_controller, dict) and \
-                initial_controller != "zeros":
+        if isinstance(initial_controller, dict):
+            errors += _controller_block_errors(initial_controller, topo)
+        elif initial_controller != "zeros":
             errors.append(
                 f"initial.controller: unknown mode {initial_controller!r}")
 
@@ -283,10 +284,13 @@ class Scenario:
             for ev in events:
                 if ev.time > integ.t_end:
                     errors.append(f"event at t={ev.time} beyond t_end")
+            # every load era's game must pass the same checks as era 0's
             stepped = plant
             for j, ev in enumerate(events, start=1):
                 try:
                     stepped = apply_load_step(stepped, ev.d_IL, ev.d_ZL)
+                    build_game(topo, stepped, price, weights, penalties,
+                               comm_topo=comm_topo)
                 except ValueError as e:
                     errors.append(f"events[{j}]: {e}")
                     break
@@ -299,6 +303,35 @@ class Scenario:
         return build_game(self.topo, plant_params or self.plant, self.price,
                           self.weights, self.penalties,
                           comm_topo=self.comm_topo)
+
+
+def _controller_block_errors(blocks, topo):
+    """Problems of an ``initial.controller`` object: an unknown block, a
+    block whose length is not its ``ControllerState`` array's (n values,
+    2n + m for xhat, n (n + m) for lam and theta, nested or flat) and a
+    nu that does not sum to zero."""
+    errors = []
+    for key, val in blocks.items():
+        if key not in ("upsilon", "nu", "u", "xhat", "lam", "theta",
+                       "gamma"):
+            errors.append(f"initial.controller: unknown block {key!r}")
+            continue
+        try:
+            arr = np.asarray(val, dtype=float)
+        except (ValueError, TypeError) as e:
+            errors.append(f"initial.controller.{key}: {e}")
+            continue
+        if topo is not None:
+            n, m = topo.n, topo.m
+            size = {"xhat": 2 * n + m, "lam": n * (n + m),
+                    "theta": n * (n + m)}.get(key, n)
+            if arr.size != size:
+                errors.append(f"initial.controller.{key}: expected {size} "
+                              f"values, got {arr.size}")
+                continue
+        if key == "nu" and abs(arr.sum()) > 1e-12:
+            errors.append("initial.controller: nu must sum to zero")
+    return errors
 
 
 class ClosedLoop:
@@ -322,10 +355,10 @@ class ClosedLoop:
         full = self._cs_template.to_vector().size
         self.n_ctrl = full - (2 * n if reduced else 0)
         self.size = self.n_plant + self.n_ctrl
-        lay = g.layout
-        base = self.n_plant + (n if reduced else 3 * n)  # xhat offset
-        self.ix_xhat_V = base + lay.ix_V
-        self.ix_xhat_line = base + lay.ix_line
+        # the penalized entries are the boxes' positions in the decision copy
+        xhat = self.n_plant + (n if reduced else 3 * n)
+        self.psrc = (xhat + g.boxes.pos).astype(np.int64)
+        self.plo, self.phi, self.force = g.boxes.lo, g.boxes.hi, g.boxes.force
         if reduced:
             from .topology import laplacian_pinv
 
@@ -361,26 +394,15 @@ class ClosedLoop:
         return np.concatenate([d_plant.to_vector(), d_vec])
 
     # -- affine + penalty representation -----------------------------------
-    def _penalty_arrays(self):
-        g = self.g
-        psrc = np.concatenate([self.ix_xhat_V, self.ix_xhat_line]).astype(np.int64)
-        plo = np.concatenate([g.plant.V_min, g.plant.Il_min])
-        phi = np.concatenate([g.plant.V_max, g.plant.Il_max])
-        prho = np.concatenate([g.penalties.rho_V, g.rho_Il_edge])
-        pscl = np.concatenate([g.weights.r, g.r_edge])
-        return psrc, plo, phi, prho, pscl
-
     def _penalty_term(self, y):
         dy = np.zeros(self.size)
         v = y[self.psrc]
-        sel = np.where(v < self.plo, self.prho * self.pscl, 0.0)
-        sel -= np.where(v > self.phi, self.prho * self.pscl, 0.0)
+        sel = np.where(v < self.plo, self.force, 0.0)
+        sel -= np.where(v > self.phi, self.force, 0.0)
         dy[self.psrc] += sel
         return dy
 
     def _assemble(self):
-        self.psrc, self.plo, self.phi, self.prho, self.pscl = \
-            self._penalty_arrays()
         c = self.rhs_reference(0.0, np.zeros(self.size)) \
             - self._penalty_term(np.zeros(self.size))
         M = np.empty((self.size, self.size))
@@ -401,11 +423,11 @@ class ClosedLoop:
     def flow(self) -> PiecewiseAffineFlow:
         """Exact regime-aware propagator of this loop (``pwa`` method)."""
         return PiecewiseAffineFlow(self.M, self.c, self.psrc, self.plo,
-                                   self.phi, self.prho * self.pscl)
+                                   self.phi, self.force)
 
     def run_segment(self, y, dt, steps, sample_every, out):
         return _kernels.rk4_affine(self.M, self.c, y, self.psrc, self.plo,
-                                   self.phi, self.prho, self.pscl, dt, steps,
+                                   self.phi, self.force, dt, steps,
                                    sample_every, out)
 
 
@@ -525,13 +547,8 @@ def run_scenario(scenario: Scenario, outdir=None, check=False,
     cs0 = ControllerState.zeros(g0)
     if isinstance(scenario.initial_controller, dict):
         for key, val in scenario.initial_controller.items():
-            arr = np.asarray(val, dtype=float)
-            if not hasattr(cs0, key):
-                raise ScenarioError([f"initial.controller: unknown block {key!r}"])
-            shaped = getattr(cs0, key)
-            setattr(cs0, key, arr.reshape(shaped.shape))
-    if abs(cs0.nu.sum()) > 1e-12:
-        raise ScenarioError(["initial.controller: nu must sum to zero"])
+            shape = getattr(cs0, key).shape
+            setattr(cs0, key, np.asarray(val, dtype=float).reshape(shape))
 
     y = _pack(plant0, cs0, reduced)
 
@@ -721,8 +738,8 @@ def _build_report(scenario, traj, diag, games, cp, reduced):
 def write_csv(path, traj: Trajectory, diag, g: GameDefinition, reduced=False):
     """Deterministic CSV: fixed header, 17-significant-digit floats."""
     cols = csv_header(g, reduced=reduced)
+    fmt = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="") as f:
         f.write(",".join(cols) + "\n")
         for k in range(traj.n_samples):
-            row = np.concatenate([[traj.t[k]], traj.y[k], diag[k]])
-            f.write(",".join("%.17g" % v for v in row) + "\n")
+            f.write(fmt % (traj.t[k], *traj.y[k].tolist(), *diag[k].tolist()))

@@ -59,14 +59,14 @@ class PenaltyParams:
 
 
 class ConstraintData:
-    """Coupling equality constraints in stacked and per-agent block form.
+    """Coupling equality constraints ``A_full @ x = s_A_full``.
 
-    ``A_full @ x = s_A_full`` collects the nodal current balance (rows
-    1..n, load currents on the right-hand side) and the line voltage
-    balance (rows n+1..n+m).  ``A_blocks[i]`` selects the columns of
-    agent i's decision block and ``s_A_blocks[i]`` carries that agent's
-    own load, so the blocks sum back to the full system.  ``D[i]`` is the
-    local voltage-balance selector with ``D[i] @ x_i = V_i + R_i I_i``.
+    Rows 1..n collect the nodal current balance (load currents on the
+    right-hand side), rows n+1..n+m the line voltage balance.  Agent i
+    owns the columns A_i of its decision block and its own load, row i
+    of ``s_A_full``; :meth:`agent_rows` and :meth:`agent_cols` apply
+    those blocks to all agents at once.  ``D_stack @ x`` restricted to
+    block i is the local voltage balance V_i + R_i I_i.
     """
 
     def __init__(self, topo: MicrogridTopology, params: PlantParams):
@@ -85,43 +85,58 @@ class ConstraintData:
             A[n + k, layout.ix_V[t - 1]] += -1.0
         self.A_full = A
         self.s_A_full = np.concatenate([params.I_L, np.zeros(m)])
-        self.A_blocks = [A[:, layout.block(i)] for i in range(1, n + 1)]
-        self.s_A_blocks = []
-        for i in range(n):
-            s = np.zeros(n + m)
-            s[i] = params.I_L[i]
-            self.s_A_blocks.append(s)
-        self.D = []
-        for i in range(n):
-            d = np.zeros(int(layout.dims[i]))
-            d[0] = params.R[i]
-            d[1] = 1.0
-            self.D.append(d)
         self.D_stack = np.zeros(layout.size)
         self.D_stack[layout.ix_I] = params.R
         self.D_stack[layout.ix_V] = 1.0
         self.layout = layout
-        # stacked block forms: col{A_i x_i} = A_stack @ x, col{A_i^T l_i}
-        self.A_stack = np.zeros((n * (n + m), layout.size))
-        self.AT_stack = np.zeros((layout.size, n * (n + m)))
-        for i in range(n):
-            rows = slice(i * (n + m), (i + 1) * (n + m))
-            self.A_stack[rows, layout.block(i + 1)] = self.A_blocks[i]
-            self.AT_stack[layout.block(i + 1), rows] = self.A_blocks[i].T
-        self.s_blocks_arr = np.array(self.s_A_blocks)
+
+    def agent_rows(self, x) -> np.ndarray:
+        """Rows ``A_i x_i - s_i`` of every agent, shape (n, n + m); they
+        sum to ``A_full @ x - s_A_full``."""
+        n = self.layout.topo.n
+        # column i sums the products A x over agent i's block
+        by_agent = np.add.reduceat(self.A_full * x, self.layout.offsets[:-1],
+                                   axis=1)
+        by_agent[:n] -= np.diag(self.s_A_full[:n])
+        return by_agent.T
+
+    def agent_cols(self, lam) -> np.ndarray:
+        """``A_i^T lam_i`` of every agent, stacked in block order: entry j
+        of ``A_full^T lam_i`` for every agent i, kept for the positions j
+        of block i.  The adjoint of :meth:`agent_rows` without its load
+        term."""
+        lay = self.layout
+        every = self.A_full.T @ np.asarray(lam, dtype=float).T
+        return every[np.arange(lay.size), lay.agent_of_pos]
 
 
-def build_constraints(topo: MicrogridTopology, params: PlantParams) -> ConstraintData:
-    """Assemble the coupling-constraint matrices for the given grid."""
-    return ConstraintData(topo, params)
+@dataclass(frozen=True, eq=False)
+class PenaltyBoxes:
+    """The exactly penalized entries of the decision vector: voltages by
+    agent, then line currents by edge.  ``pos`` are their positions in
+    the agent-major vector, ``lo``/``hi`` their boxes, ``rho`` the
+    penalty magnitudes and ``force = r rho`` (r of the entry's agent,
+    the line's manager for a line) the penalty force on its row of the
+    weighted dynamics."""
+
+    pos: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    rho: np.ndarray
+    force: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.pos, self.lo, self.hi, self.rho, self.force):
+            a.flags.writeable = False
 
 
 class GameDefinition:
     """Immutable bundle of everything that defines one game instance.
 
     Built through :func:`build_game`; carries the topology, plant
-    parameters, prices, weights, penalties, assembled constraints and the
-    flat per-position weight/reference/box arrays used by the dynamics.
+    parameters, prices, weights, penalties, assembled constraints, the
+    penalized boxes (``boxes``) and the flat per-position weight and
+    reference arrays used by the dynamics.
     """
 
     def __init__(self, topo, plant, price, weights, penalties,
@@ -134,7 +149,7 @@ class GameDefinition:
         self.price = price
         self.weights = weights
         self.penalties = penalties
-        self.constraints = build_constraints(topo, plant)
+        self.constraints = ConstraintData(topo, plant)
         lay = self.constraints.layout
         self.layout = lay
         n, m = topo.n, topo.m
@@ -154,6 +169,12 @@ class GameDefinition:
         self.r_edge = weights.r[lay.manager_of_edge] if m else np.zeros(0)
         self.rho_Il_edge = penalties.rho_Il
         self.x_ref = lay.stack(plant.I_ref, plant.V_ref, plant.Il_ref)
+        rho = np.concatenate([penalties.rho_V, self.rho_Il_edge])
+        self.boxes = PenaltyBoxes(
+            np.concatenate([lay.ix_V, lay.ix_line]),
+            np.concatenate([plant.V_min, plant.Il_min]),
+            np.concatenate([plant.V_max, plant.Il_max]), rho,
+            rho * np.concatenate([weights.r, self.r_edge]))
         if validate:
             margin1 = check_price_margin(plant, price.l, price.p_r)
             if margin1 <= 0.0:
@@ -199,16 +220,12 @@ def cost(g: GameDefinition, i: int, u_i: float, x_i, aggregate_I: float) -> floa
     return f1 + f2
 
 
-def penalty_subgradient(kind: str, value: float, lo: float, hi: float,
-                        rho: float):
+def penalty_subgradient(value: float, lo: float, hi: float, rho: float):
     """Subdifferential interval of the one-sided box penalty.
 
-    ``kind`` is ``"voltage"`` or ``"line"`` (same formula; kept for call
-    clarity).  Returns (lo, hi) of the interval; the minimum-norm element
-    used in the dynamics is 0 at the kinks.
+    Returns (lo, hi) of the interval; the minimum-norm element used in
+    the dynamics is 0 at the kinks.
     """
-    if kind not in ("voltage", "line"):
-        raise ValueError("kind must be 'voltage' or 'line'")
     if not lo < hi:
         raise ValueError("need lo < hi")
     if rho <= 0.0:
@@ -234,25 +251,10 @@ def subgradient_selection(interval) -> float:
 
 def penalty_value(g: GameDefinition, x) -> float:
     """Total exact-penalty value of the stacked decision vector."""
-    lay = g.layout
-    p = g.plant
-    V = np.asarray(x)[lay.ix_V]
-    Il = np.asarray(x)[lay.ix_line]
-    val = g.penalties.rho_V @ (np.maximum(p.V_min - V, 0.0)
-                               + np.maximum(V - p.V_max, 0.0))
-    if g.m:
-        val += g.rho_Il_edge @ (np.maximum(p.Il_min - Il, 0.0)
-                                + np.maximum(Il - p.Il_max, 0.0))
-    return float(val)
-
-
-def _penalty_selection_arrays(g: GameDefinition, V, Il):
-    p = g.plant
-    sel_V = np.where(V < p.V_min, -g.penalties.rho_V,
-                     np.where(V > p.V_max, g.penalties.rho_V, 0.0))
-    sel_Il = np.where(Il < p.Il_min, -g.rho_Il_edge,
-                      np.where(Il > p.Il_max, g.rho_Il_edge, 0.0))
-    return sel_V, sel_Il
+    b = g.boxes
+    v = np.asarray(x, dtype=float)[b.pos]
+    return float(b.rho @ (np.maximum(b.lo - v, 0.0)
+                          + np.maximum(v - b.hi, 0.0)))
 
 
 def local_gradient(g: GameDefinition, x, upsilon, with_penalty=True):
@@ -276,9 +278,10 @@ def local_gradient(g: GameDefinition, x, upsilon, with_penalty=True):
     out[lay.ix_V] = w.alpha_V * (V - p.V_ref)
     out[lay.ix_line] = g.alpha_Il_edge * (Il - p.Il_ref)
     if with_penalty:
-        sel_V, sel_Il = _penalty_selection_arrays(g, V, Il)
-        out[lay.ix_V] += sel_V
-        out[lay.ix_line] += sel_Il
+        b = g.boxes
+        v = x[b.pos]
+        out[b.pos] += np.where(v < b.lo, -b.rho,
+                               np.where(v > b.hi, b.rho, 0.0))
     return out
 
 
@@ -291,34 +294,15 @@ def local_gradient_interval(g: GameDefinition, x, upsilon, kink_tol=1e-9):
     floating-point placement of pinned solutions.
     """
     base = local_gradient(g, x, upsilon, with_penalty=False)
+    b = g.boxes
+    v = np.asarray(x, dtype=float)[b.pos]
+    v = np.where(np.abs(v - b.lo) <= kink_tol, b.lo,
+                 np.where(np.abs(v - b.hi) <= kink_tol, b.hi, v))
+    # penalty_subgradient's interval, entry by entry
     lo = base.copy()
     hi = base.copy()
-    lay = g.layout
-    p = g.plant
-
-    def _snap(v, b_lo, b_hi):
-        if abs(v - b_lo) <= kink_tol:
-            return b_lo
-        if abs(v - b_hi) <= kink_tol:
-            return b_hi
-        return v
-
-    V = np.asarray(x)[lay.ix_V]
-    Il = np.asarray(x)[lay.ix_line]
-    for i in range(g.n):
-        a, b = penalty_subgradient("voltage", _snap(V[i], p.V_min[i],
-                                                    p.V_max[i]),
-                                   p.V_min[i], p.V_max[i],
-                                   g.penalties.rho_V[i])
-        lo[lay.ix_V[i]] += a
-        hi[lay.ix_V[i]] += b
-    for k in range(g.m):
-        a, b = penalty_subgradient("line", _snap(Il[k], p.Il_min[k],
-                                                 p.Il_max[k]),
-                                   p.Il_min[k], p.Il_max[k],
-                                   g.rho_Il_edge[k])
-        lo[lay.ix_line[k]] += a
-        hi[lay.ix_line[k]] += b
+    lo[b.pos] += np.where(v <= b.lo, -b.rho, np.where(v <= b.hi, 0.0, b.rho))
+    hi[b.pos] += np.where(v < b.lo, -b.rho, np.where(v < b.hi, 0.0, b.rho))
     return lo, hi
 
 

@@ -56,13 +56,12 @@ class _ZLayout:
 def _affine_rows(g: GameDefinition):
     """Equality constraints M z = c: coupling rows plus local balances."""
     zl = _ZLayout(g)
-    lay = g.layout
     con = g.constraints
-    M = np.zeros((g.n + g.m + g.n, zl.size))
-    M[:g.n + g.m, zl.z_of_x] = con.A_full
-    for i in range(g.n):
-        M[g.n + g.m + i, zl.z_of_x[lay.block(i + 1)]] = con.D[i]
-        M[g.n + g.m + i, zl.z_of_u[i]] = -1.0
+    local = g.n + g.m          # row of agent 1's local balance
+    M = np.zeros((local + g.n, zl.size))
+    M[:local, zl.z_of_x] = con.A_full
+    M[local + g.layout.agent_of_pos, zl.z_of_x] = con.D_stack
+    M[local + np.arange(g.n), zl.z_of_u] = -1.0
     c = np.concatenate([con.s_A_full, np.zeros(g.n)])
     return zl, M, c
 
@@ -70,12 +69,9 @@ def _affine_rows(g: GameDefinition):
 def _box_bounds(g: GameDefinition, zl: _ZLayout):
     lo = np.full(zl.size, -np.inf)
     hi = np.full(zl.size, np.inf)
-    lay = g.layout
-    lo[zl.z_of_x[lay.ix_V]] = g.plant.V_min
-    hi[zl.z_of_x[lay.ix_V]] = g.plant.V_max
-    if g.m:
-        lo[zl.z_of_x[lay.ix_line]] = g.plant.Il_min
-        hi[zl.z_of_x[lay.ix_line]] = g.plant.Il_max
+    box = zl.z_of_x[g.boxes.pos]
+    lo[box] = g.boxes.lo
+    hi[box] = g.boxes.hi
     return lo, hi
 
 
@@ -99,9 +95,6 @@ class FeasibleSetProjector:
         self.feas_tol = feas_tol
         self._gram_inv = np.linalg.inv(M @ M.T)
         self._P = np.ascontiguousarray(self.M.T @ self._gram_inv)
-
-    def project_affine(self, z):
-        return z - self._P @ (self.M @ z - self.c)
 
     def project(self, z0):
         return _kernels.dykstra_project(self._P, self.M, self.c, self.lo,
@@ -358,10 +351,8 @@ def _active_set(g: GameDefinition, cp: ControllerParams = None, z=None):
     G, g0 = _game_map(g, zl)
     cap = np.full(zl.size, np.inf)
     if cp is not None:
-        lay = g.layout
-        G[zl.z_of_u, zl.z_of_x[lay.ix_I]] += cp.eps_u
-        cap[zl.z_of_x[lay.ix_V]] = g.penalties.rho_V * g.weights.r
-        cap[zl.z_of_x[lay.ix_line]] = g.rho_Il_edge * g.r_edge
+        G[zl.z_of_u, zl.z_of_x[g.layout.ix_I]] += cp.eps_u
+        cap[zl.z_of_x[g.boxes.pos]] = g.boxes.force
     if z is None:
         z = np.clip(zl.join(g.plant.u_ref, g.x_ref), lo, hi)
     state = np.where(z - lo <= 1e-4, LOWER,
@@ -457,13 +448,13 @@ class ClosedLoopEquilibrium:
     """Exact attractor of the penalized closed loop.
 
     ``regimes`` and ``forces`` follow the penalized entries in
-    ``ClosedLoop.psrc`` order (voltages by agent, then lines by edge).
-    ``regimes`` are :data:`pwa.REGIME_NAMES`; ``forces`` the force each
-    box adds to its stationarity row: 0 inside, within [-cap, 0] sliding
-    on a lower and [0, cap] on an upper bound, -cap below, +cap above
-    (cap = r_i rho_V or r_edge rho_Il).  ``controller`` bundles the
-    stacked controller state including recovered multiplier rows;
-    ``plant`` the matching grid state.
+    ``g.boxes`` order (voltages by agent, then lines by edge), which is
+    also ``ClosedLoop.psrc``'s.  ``regimes`` are :data:`pwa.REGIME_NAMES`;
+    ``forces`` the force each box adds to its stationarity row: 0 inside,
+    within [-cap, 0] sliding on a lower and [0, cap] on an upper bound,
+    -cap below, +cap above (cap = ``g.boxes.force``).  ``controller``
+    bundles the stacked controller state including recovered multiplier
+    rows; ``plant`` the matching grid state.
     """
 
     u_star: np.ndarray
@@ -497,16 +488,12 @@ def closed_loop_equilibrium(g: GameDefinition,
     z = np.where(state == LOWER, lo, np.where(state == UPPER, hi, z))
     u, x = zl.split(z)
     lam, gamma = mu[:g.n + g.m], mu[g.n + g.m:]
-    box = zl.z_of_x[np.concatenate([lay.ix_V, lay.ix_line])]
+    box = zl.z_of_x[g.boxes.pos]
     regimes = tuple(REGIME_NAMES[s] for s in state[box])
     Ihat = x[lay.ix_I]
     ups, nu = fast_equilibrium(Ihat, g.comm_topo)
     lam_rows = np.outer(1.0 / w.r, lam)
-    feas = np.zeros((g.n, g.n + g.m))
-    con = g.constraints
-    for i in range(g.n):
-        feas[i] = con.A_blocks[i] @ x[lay.block(i + 1)] - con.s_A_blocks[i]
-    theta = laplacian_pinv(g.comm_topo) @ feas
+    theta = laplacian_pinv(g.comm_topo) @ g.constraints.agent_rows(x)
     cs = ControllerState(ups, nu, u.copy(), x.copy(), lam_rows, theta,
                          gamma.copy())
     plant = PlantState(Ihat.copy(), x[lay.ix_V].copy(),

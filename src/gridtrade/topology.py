@@ -120,19 +120,6 @@ def laplacian_pinv(topo: MicrogridTopology) -> np.ndarray:
     return P
 
 
-def lifted_row_block(topo: MicrogridTopology, i: int, blockdim: int) -> np.ndarray:
-    """Row i of the Laplacian Kronecker-lifted by the identity.
-
-    Returns ``(row i of L) (x) I_blockdim`` with shape
-    (blockdim, n*blockdim); stacking the blocks for all i recovers
-    ``kron(L, I_blockdim)``.
-    """
-    if not 1 <= i <= topo.n:
-        raise IndexError(f"node id {i} out of range 1..{topo.n}")
-    row = laplacian(topo)[i - 1]
-    return np.kron(row, np.eye(blockdim))
-
-
 class AgentLayout:
     """Index bookkeeping for the agent-major stacked decision vector.
 

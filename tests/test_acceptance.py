@@ -236,7 +236,7 @@ class TestAcceptance:
             count += 1
             fd = (pen(v + h) - pen(v - h)) / (2 * h)
             sel = subgradient_selection(
-                penalty_subgradient("voltage", v, lo_b, hi_b, rho))
+                penalty_subgradient(v, lo_b, hi_b, rho))
             worst_sub = max(worst_sub, abs(fd - sel) / max(1.0, abs(sel)))
         sub_ok = worst_sub <= 1e-6
 

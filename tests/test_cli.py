@@ -46,6 +46,15 @@ class TestValidate:
         rc = main(["validate", str(path)])
         assert rc == 1
 
+    def test_initial_controller_reported(self, tmp_path, capsys):
+        d = ring4_dict(initial={"plant": "zeros",
+                                "controller": {"nu": [1, 0, 0, 0]}})
+        path = tmp_path / "bad_nu.json"
+        write_scenario(d, path)
+        rc = main(["validate", str(path)])
+        assert rc == 1
+        assert "nu must sum to zero" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_missing_file(self, capsys):

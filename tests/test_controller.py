@@ -36,7 +36,9 @@ class TestControllerRhs:
         con = pair_game.constraints
         r = pair_game.weights.r
         for i in range(2):
-            assert np.allclose(d.lam[i], -r[i] * con.s_A_blocks[i], atol=0)
+            own_load = np.zeros(3)
+            own_load[i] = con.s_A_full[i]
+            assert np.allclose(d.lam[i], -r[i] * own_load, atol=0)
 
     def test_symmetric_agents(self):
         g = make_pair_game(I_L=(2.0, 2.0))
@@ -141,7 +143,7 @@ class TestKktResidual:
         cs = ControllerState.zeros(pair_game)
         res = kkt_residual(cs, pair_game, CP)
         r = pair_game.weights.r
-        expected6 = max(abs(r[i] * pair_game.constraints.s_A_blocks[i]).max()
+        expected6 = max(abs(r[i] * pair_game.constraints.s_A_full[i])
                         for i in range(2))
         assert res.lines[5] == pytest.approx(expected6, abs=1e-14)
         for k in (0, 1, 2, 3, 4, 6):

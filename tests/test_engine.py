@@ -90,6 +90,45 @@ class TestScenarioValidation:
         assert ei.value.errors == [
             "events[2]: load step drives Z_L of DGU 1 to 0.0 <= 0"]
 
+    @pytest.mark.parametrize("step, margin", [
+        ({"d_IL": "-500 A"}, -16.7569), ({"d_ZL": "15.9 Ohm"}, -73.6565)])
+    def test_later_era_game_validated(self, step, margin):
+        d = ring4_dict()
+        d["events"] = [dict(step, time="0.001 s")]
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [
+            f"events[1]: price margin over peak feasible demand is "
+            f"{margin:.4f} <= 0"]
+
+    @pytest.mark.parametrize("key, size", [
+        ("upsilon", 4), ("nu", 4), ("u", 4), ("gamma", 4), ("xhat", 12),
+        ("lam", 32), ("theta", 32)])
+    def test_initial_controller_lengths_checked(self, key, size):
+        d = ring4_dict(initial={"plant": "zeros",
+                                "controller": {key: [0] * (size - 1)}})
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [
+            f"initial.controller.{key}: expected {size} values, "
+            f"got {size - 1}"]
+
+    def test_initial_controller_errors_collected(self):
+        d = ring4_dict(initial={"plant": "zeros", "controller": {
+            "ups": [0] * 4, "nu": [1, 0, 0, 0], "u": [0] * 3,
+            "lam": np.zeros((4, 8)).tolist(), "gamma": ["x"] * 4}})
+        d["price"]["l"] = -1.0
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        errors = ei.value.errors
+        assert "initial.controller: unknown block 'ups'" in errors
+        assert "initial.controller: nu must sum to zero" in errors
+        assert "initial.controller.u: expected 4 values, got 3" in errors
+        assert any(e.startswith("initial.controller.gamma: ")
+                   for e in errors)
+        assert any(e.startswith("price: ") for e in errors)
+        assert len(errors) == 5
+
     @pytest.mark.parametrize("key", ["I", "V", "I_l"])
     def test_initial_plant_lengths_checked(self, key):
         plant = {"I": [0] * 4, "V": [0] * 4, "I_l": [0] * 4}
@@ -281,9 +320,8 @@ class TestRunScenario:
             integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.001 s"},
             events=[], initial={"plant": "zeros",
                                 "controller": {"nu": [1, 0, 0, 0]}})
-        scn = Scenario.from_dict(d)
         with pytest.raises(ScenarioError, match="nu must sum to zero"):
-            run_scenario(scn)
+            Scenario.from_dict(d)
 
 
 class TestPlantTracksEquilibrium:

@@ -23,14 +23,19 @@ class TestConstraints:
         rng = np.random.default_rng(17)
         for _ in range(5):
             x = rng.normal(scale=50, size=lay.size)
+            rows = con.agent_rows(x)
+            assert rows.shape == (4, 8)
             full = con.A_full @ x - con.s_A_full
-            blocks = sum(con.A_blocks[i] @ x[lay.block(i + 1)]
-                         - con.s_A_blocks[i] for i in range(4))
-            assert np.allclose(full, blocks, rtol=0, atol=1e-10)
+            assert np.allclose(rows.sum(axis=0), full, rtol=0, atol=1e-10)
 
     def test_load_split_sums(self, ref_game):
+        """At x = 0 each agent's row carries only its own load."""
         con = ref_game.constraints
-        assert np.allclose(sum(con.s_A_blocks), con.s_A_full, atol=0)
+        own = np.zeros((4, 8))
+        own[np.arange(4), np.arange(4)] = ref_game.plant.I_L
+        assert np.array_equal(-con.agent_rows(0.0), own)
+        assert np.array_equal(-con.agent_rows(0.0).sum(axis=0),
+                              con.s_A_full)
 
     def test_local_balance_selector(self, ref_game):
         lay = ref_game.layout
@@ -39,9 +44,31 @@ class TestConstraints:
         x = rng.normal(size=lay.size)
         I, V, _ = lay.split(x)
         for i in range(4):
-            di = con.D[i] @ x[lay.block(i + 1)]
+            blk = lay.block(i + 1)
+            di = con.D_stack[blk] @ x[blk]
             assert di == pytest.approx(
                 V[i] + ref_game.plant.R[i] * I[i], abs=1e-14)
+
+    @pytest.mark.parametrize("game", ["ref_game", "pair_game"])
+    def test_agent_cols_adjoint_of_rows(self, game, request):
+        """<agent_rows(x) + own loads, lam> = <x, agent_cols(lam)>, and
+        agent_cols is block i of A_full^T lam_i."""
+        g = request.getfixturevalue(game)
+        con = g.constraints
+        lay = g.layout
+        rng = np.random.default_rng(29)
+        load = -con.agent_rows(0.0)
+        for _ in range(5):
+            x = rng.normal(scale=50, size=lay.size)
+            lam = rng.normal(size=(g.n, g.n + g.m))
+            lhs = np.sum((con.agent_rows(x) + load) * lam)
+            rhs = x @ con.agent_cols(lam)
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
+            for i in range(g.n):
+                blk = lay.block(i + 1)
+                assert np.allclose(con.agent_cols(lam)[blk],
+                                   con.A_full[:, blk].T @ lam[i],
+                                   rtol=1e-14, atol=1e-12)
 
     def test_feasibility_at_oracle(self, ref_game, ref_solution):
         con = ref_game.constraints
@@ -77,30 +104,28 @@ class TestPenaltySubgradient:
     BOX = dict(lo=377.0, hi=383.0, rho=1200.0)
 
     def test_interior(self):
-        assert penalty_subgradient("voltage", 380.0, **self.BOX) == (0.0, 0.0)
+        assert penalty_subgradient(380.0, **self.BOX) == (0.0, 0.0)
 
     def test_below(self):
-        assert penalty_subgradient("voltage", 376.0, **self.BOX) == (
+        assert penalty_subgradient(376.0, **self.BOX) == (
             -1200.0, -1200.0)
 
     def test_upper_kink_interval_and_selection(self):
-        iv = penalty_subgradient("voltage", 383.0, **self.BOX)
+        iv = penalty_subgradient(383.0, **self.BOX)
         assert iv == (0.0, 1200.0)
         assert subgradient_selection(iv) == 0.0
 
     def test_lower_kink(self):
-        assert penalty_subgradient("line", 377.0, **self.BOX) == (-1200.0, 0.0)
+        assert penalty_subgradient(377.0, **self.BOX) == (-1200.0, 0.0)
 
     def test_above(self):
-        assert penalty_subgradient("line", 384.0, **self.BOX) == (1200.0, 1200.0)
+        assert penalty_subgradient(384.0, **self.BOX) == (1200.0, 1200.0)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            penalty_subgradient("voltage", 0.0, lo=1.0, hi=1.0, rho=1.0)
+            penalty_subgradient(0.0, lo=1.0, hi=1.0, rho=1.0)
         with pytest.raises(ValueError):
-            penalty_subgradient("voltage", 0.0, lo=0.0, hi=1.0, rho=0.0)
-        with pytest.raises(ValueError):
-            penalty_subgradient("other", 0.0, lo=0.0, hi=1.0, rho=1.0)
+            penalty_subgradient(0.0, lo=0.0, hi=1.0, rho=0.0)
 
     def test_matches_finite_differences_away_from_kinks(self):
         lo, hi, rho = -2.0, 3.0, 7.5
@@ -118,7 +143,7 @@ class TestPenaltySubgradient:
             count += 1
             fd = (pen(v + h) - pen(v - h)) / (2 * h)
             sel = subgradient_selection(
-                penalty_subgradient("voltage", v, lo, hi, rho))
+                penalty_subgradient(v, lo, hi, rho))
             assert abs(fd - sel) <= 1e-6 * max(1.0, abs(sel))
 
 
@@ -246,6 +271,63 @@ class TestLocalGradient:
         diff = with_pen - without
         assert diff[lay.ix_V[0]] == pytest.approx(-1200.0)
         assert np.count_nonzero(diff) == 1
+
+
+    def test_interval_matches_per_entry_subgradient(self, ref_game):
+        """The one pass over ``g.boxes`` gives ``penalty_subgradient``'s
+        interval on every penalized entry, at random points and at points
+        within (and just beyond) the 1e-9 kink tolerance of each bound."""
+        g = ref_game
+        b = g.boxes
+        ups = np.full(g.n, 40.0)
+        rng = np.random.default_rng(31)
+        points = []
+        for _ in range(20):
+            x = g.x_ref + rng.normal(scale=2.0, size=g.layout.size)
+            x[b.pos] = rng.uniform(b.lo - 5.0, b.hi + 5.0)
+            points.append(x)
+        for k in range(b.pos.size):
+            for bound in (b.lo[k], b.hi[k]):
+                for off in (-2e-9, -1e-9, -4e-10, 0.0, 4e-10, 1e-9, 2e-9):
+                    x = g.x_ref.copy()
+                    x[b.pos[k]] = bound + off
+                    points.append(x)
+        for x in points:
+            lo, hi = gt.game.local_gradient_interval(g, x, ups)
+            exp_lo = local_gradient(g, x, ups, with_penalty=False)
+            exp_hi = exp_lo.copy()
+            for k, pos in enumerate(b.pos):
+                v = x[pos]
+                if abs(v - b.lo[k]) <= 1e-9:
+                    v = b.lo[k]
+                elif abs(v - b.hi[k]) <= 1e-9:
+                    v = b.hi[k]
+                a, c = penalty_subgradient(v, b.lo[k], b.hi[k], b.rho[k])
+                exp_lo[pos] += a
+                exp_hi[pos] += c
+            assert np.array_equal(lo, exp_lo)
+            assert np.array_equal(hi, exp_hi)
+
+
+class TestPenaltyBoxes:
+    def test_reference_description(self, ref_game):
+        g = ref_game
+        b = g.boxes
+        lay = g.layout
+        p = g.plant
+        assert np.array_equal(b.pos, np.concatenate([lay.ix_V, lay.ix_line]))
+        assert np.array_equal(b.lo, np.concatenate([p.V_min, p.Il_min]))
+        assert np.array_equal(b.hi, np.concatenate([p.V_max, p.Il_max]))
+        assert np.array_equal(b.rho, np.concatenate([g.penalties.rho_V,
+                                                     g.rho_Il_edge]))
+        r = np.concatenate([g.weights.r, g.r_edge])
+        assert np.array_equal(b.force, r * b.rho)
+        assert not any(a.flags.writeable
+                       for a in (b.pos, b.lo, b.hi, b.rho, b.force))
+
+    def test_single_node_has_voltage_box_only(self):
+        g = make_single_game()
+        assert np.array_equal(g.boxes.pos, [1])
 
 
 class TestAssumptionChecks:

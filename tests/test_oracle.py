@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import gridtrade as gt
 from gridtrade import ControllerParams, affine_kkt_solve, \
-    closed_loop_equilibrium, lyapunov_diagnostics, recover_multipliers, \
-    reduced_model_rhs, solve_vi
+    closed_loop_equilibrium, lyapunov_diagnostics, oracle, \
+    recover_multipliers, reduced_model_rhs, solve_vi
 from gridtrade.controller import ControllerState, controller_rhs
 from gridtrade.engine import ClosedLoop
 from gridtrade.oracle import FeasibleSetProjector, _affine_rows, _box_bounds, \
@@ -101,7 +101,8 @@ class TestSolveVi:
         Mc = np.zeros((n + m + n, nz))
         Mc[:n + m, zx] = g.constraints.A_full
         for i in range(n):
-            Mc[n + m + i, zx[lay.block(i + 1)]] = g.constraints.D[i]
+            Mc[n + m + i, zx[lay.block(i + 1)]] = \
+                g.constraints.D_stack[lay.block(i + 1)]
             Mc[n + m + i, zu[i]] = -1.0
         cc = np.concatenate([g.constraints.s_A_full, np.zeros(n)])
         k = Mc.shape[0]
@@ -260,6 +261,46 @@ class TestProjector:
         assert np.abs(M @ z - c).max() < 1e-8
 
 
+class TestOneBoxDescription:
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_consumers_index_the_game_boxes(self, ref_game, ref_cp, reduced,
+                                            monkeypatch):
+        """ClosedLoop's penalty arrays, the oracle's box bounds and the
+        closed-loop active set's caps all read ``g.boxes``."""
+        g = ref_game
+        b = g.boxes
+        loop = ClosedLoop(g, ref_cp, reduced=reduced)
+        cs = ControllerState.zeros(g)
+        cs.xhat = np.arange(1.0, g.layout.size + 1.0)
+        y = loop.pack(PlantState.zeros(g.n, g.m), cs)
+        assert np.array_equal(y[loop.psrc], b.pos + 1.0)
+        assert np.array_equal(loop.plo, b.lo)
+        assert np.array_equal(loop.phi, b.hi)
+        assert np.array_equal(loop.force, b.force)
+
+        zl = oracle._ZLayout(g)
+        lo, hi = _box_bounds(g, zl)
+        caps = []
+        face_solve = oracle._face_solve
+
+        def spy(G, g0, M, c, lo, hi, cap, state):
+            caps.append(cap.copy())
+            return face_solve(G, g0, M, c, lo, hi, cap, state)
+
+        monkeypatch.setattr(oracle, "_face_solve", spy)
+        eq = closed_loop_equilibrium(g, ref_cp)
+        boxed = np.zeros(g.layout.size, dtype=bool)
+        boxed[b.pos] = True
+        for arr, inside in ((lo, b.lo), (hi, b.hi), (caps[0], b.force)):
+            u_part, x_part = zl.split(arr)
+            assert np.isinf(u_part).all() and np.isinf(x_part[~boxed]).all()
+            assert np.array_equal(x_part[b.pos], inside)
+        assert len(eq.regimes) == b.pos.size
+        below = np.array([r == "below" for r in eq.regimes])
+        assert below.any()
+        assert np.array_equal(eq.forces[below], -b.force[below])
+
+
 class TestRecoverMultipliers:
     def test_interior_exact(self, wide_box_game):
         sol = solve_vi(wide_box_game)
@@ -374,7 +415,7 @@ def assert_filippov_equilibrium(g, cp):
     assert np.abs(loop.rhs_fast(0.0, y)[rest]).max() <= tol
     upper = np.array([r == "upper-sliding" for r in eq.regimes])[sliding]
     held = np.where(upper, 1.0, -1.0) * (loop.M[rows] @ y + loop.c[rows])
-    cap = (loop.prho * loop.pscl)[sliding]
+    cap = loop.force[sliding]
     assert (held >= -tol).all() and (held <= cap + tol).all()
     assert (np.abs(held - np.abs(eq.forces[sliding])) <= tol).all()
     return eq

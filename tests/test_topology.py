@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gridtrade import MicrogridTopology, incidence_matrix, laplacian, \
-    lifted_row_block
+from gridtrade import MicrogridTopology, incidence_matrix, laplacian
 from gridtrade.topology import AgentLayout
 
 
@@ -72,30 +71,6 @@ class TestLaplacian:
         L = laplacian(topo)
         assert np.array_equal(L @ np.ones(4), np.zeros(4))
         assert np.array_equal(np.ones(4) @ L, np.zeros(4))
-
-
-class TestLiftedRowBlock:
-    def test_two_node_scalar(self):
-        topo = MicrogridTopology(2, [(1, 2)], [1])
-        assert np.array_equal(lifted_row_block(topo, 1, 1), [[1.0, -1.0]])
-
-    def test_ring_row_pattern(self):
-        blk = lifted_row_block(ring4(), 2, 8)
-        expected = np.hstack([-np.eye(8), 2 * np.eye(8), -np.eye(8),
-                              np.zeros((8, 8))])
-        assert np.array_equal(blk, expected)
-
-    def test_stacking_equals_kron(self):
-        topo = ring4()
-        stacked = np.vstack([lifted_row_block(topo, i, 3)
-                             for i in range(1, 5)])
-        assert np.array_equal(stacked, np.kron(laplacian(topo), np.eye(3)))
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            lifted_row_block(ring4(), 5, 2)
-        with pytest.raises(IndexError):
-            lifted_row_block(ring4(), 0, 2)
 
 
 class TestValidation:

@@ -1,14 +1,15 @@
 """Scenario ingestion, closed-loop assembly, simulation runs and reports.
 
-A scenario file is a JSON tree with explicit unit suffixes.  The closed
+A scenario file is a JSON tree with explicit unit suffixes.  Parsing
+checks it once, time grid included (``integrate.grid_errors``), and keeps
+the game of every load era on the frozen :class:`Scenario`.  The closed
 loop (grid + controller) is affine apart from the box penalties, so the
 engine probes the exact system matrix of each load era when that era
 starts and propagates it with the affine RK4 kernel, with RK45, or
-exactly, regime by regime (``pwa``); ``integrate.run_eras`` checks the
-time grid and emits the sampled rows for all three.  Only one era's
-dense operator is alive at a time: N² doubles for N = 4n² + 10n states,
-11.2 MB at n = 16 and 51.8 MB at n = 24.  Diagnostics are evaluated on
-the sampled rows.
+exactly, regime by regime (``pwa``); ``integrate.run_eras`` emits the
+sampled rows for all three.  Only one era's dense operator is alive at a
+time: N² doubles for N = 4n² + 10n states, 11.2 MB at n = 16 and
+51.8 MB at n = 24.  Diagnostics are evaluated on the sampled rows.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import numpy as np
 
 from . import _kernels
 from .controller import (ControllerParams, ControllerState, consensus_errors,
-                         controller_rhs, kkt_residual)
+                         controller_rhs, fast_equilibrium, kkt_residual)
 from .game import (GameDefinition, ObjectiveWeights, PenaltyParams,
                    PriceParams, build_game, check_price_margin,
                    check_monotonicity)
-from .integrate import (GridError, IntegratorConfig, Trajectory, rk45_samples,
-                        run_eras)
+from .integrate import (IntegratorConfig, Trajectory, grid_errors,
+                        rk45_samples, run_eras)
 from .oracle import lyapunov_diagnostics, reduced_model_rhs, solve_vi
 from .plant import (DguParams, LineParams, PlantParams, PlantState,
                     apply_load_step, plant_rhs)
@@ -73,9 +74,10 @@ class Event:
     d_ZL: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Validated experiment description; build inputs for one run."""
+    """Validated experiment description: build inputs for one run, and
+    ``games``, every load era's game (era 0 first), built when checked."""
 
     name: str
     topo: MicrogridTopology
@@ -86,9 +88,10 @@ class Scenario:
     penalties: PenaltyParams
     controller: ControllerParams
     integrator: IntegratorConfig
-    events: list
+    events: tuple
     initial_plant: object      # "equilibrium" | "zeros" | PlantState
     initial_controller: object  # "zeros" | ControllerState fields dict
+    games: tuple
 
     @classmethod
     def from_file(cls, path):
@@ -233,18 +236,16 @@ class Scenario:
             errors.append(f"integrator: {e}")
 
         events = []
-        last_t = 0.0
         for j, rec in enumerate(d.get("events", []), start=1):
             try:
-                ev = Event(parse_quantity(rec["time"]),
-                           parse_quantity(rec.get("d_IL", 0.0)),
-                           parse_quantity(rec.get("d_ZL", 0.0)))
-                if ev.time <= last_t:
-                    errors.append(f"events[{j}]: times must be increasing")
-                last_t = ev.time
-                events.append(ev)
+                events.append(Event(parse_quantity(rec["time"]),
+                                    parse_quantity(rec.get("d_IL", 0.0)),
+                                    parse_quantity(rec.get("d_ZL", 0.0))))
             except (KeyError, ValueError, TypeError) as e:
                 errors.append(f"events[{j}]: {e!r}")
+        if integ is not None:
+            errors += grid_errors(integ, [ev.time for ev in events],
+                                  _stability_limit(lines))
 
         init = section("initial") or {}
         initial_plant = init.get("plant", "equilibrium")
@@ -274,35 +275,36 @@ class Scenario:
                 f"initial.controller: unknown mode {initial_controller!r}")
 
         plant = None
+        games = []
         if not errors:
             plant = PlantParams(dgus, lines)
             try:
-                build_game(topo, plant, price, weights, penalties,
-                           comm_topo=comm_topo)
+                games.append(build_game(topo, plant, price, weights,
+                                        penalties, comm_topo=comm_topo))
             except ValueError as e:
                 errors.append(str(e))
-            for ev in events:
-                if ev.time > integ.t_end:
-                    errors.append(f"event at t={ev.time} beyond t_end")
             # every load era's game must pass the same checks as era 0's
             stepped = plant
             for j, ev in enumerate(events, start=1):
                 try:
                     stepped = apply_load_step(stepped, ev.d_IL, ev.d_ZL)
-                    build_game(topo, stepped, price, weights, penalties,
-                               comm_topo=comm_topo)
+                    games.append(build_game(topo, stepped, price, weights,
+                                            penalties, comm_topo=comm_topo))
                 except ValueError as e:
                     errors.append(f"events[{j}]: {e}")
                     break
         if errors:
             raise ScenarioError(errors)
         return cls(name, topo, comm_topo, plant, price, weights, penalties,
-                   ctrl, integ, events, initial_plant, initial_controller)
+                   ctrl, integ, tuple(events), initial_plant,
+                   initial_controller, tuple(games))
 
     def game(self, plant_params=None) -> GameDefinition:
-        return build_game(self.topo, plant_params or self.plant, self.price,
-                          self.weights, self.penalties,
-                          comm_topo=self.comm_topo)
+        """Era 0's game, or a new game of this scenario on ``plant_params``."""
+        if plant_params is None:
+            return self.games[0]
+        return build_game(self.topo, plant_params, self.price, self.weights,
+                          self.penalties, comm_topo=self.comm_topo)
 
 
 def _controller_block_errors(blocks, topo):
@@ -350,19 +352,12 @@ class ClosedLoop:
         self.cp = cp
         self.reduced = reduced
         n, m = g.n, g.m
-        self.n_plant = 2 * n + m
-        self._cs_template = ControllerState.zeros(g)
-        full = self._cs_template.to_vector().size
-        self.n_ctrl = full - (2 * n if reduced else 0)
-        self.size = self.n_plant + self.n_ctrl
+        self.size = _pack(PlantState.zeros(n, m), ControllerState.zeros(g),
+                          reduced).size
         # the penalized entries are the boxes' positions in the decision copy
-        xhat = self.n_plant + (n if reduced else 3 * n)
+        xhat = 2 * n + m + (n if reduced else 3 * n)
         self.psrc = (xhat + g.boxes.pos).astype(np.int64)
         self.plo, self.phi, self.force = g.boxes.lo, g.boxes.hi, g.boxes.force
-        if reduced:
-            from .topology import laplacian_pinv
-
-            self._lap_pinv = laplacian_pinv(g.comm_topo)
         self._assemble()
 
     # -- packing ---------------------------------------------------------
@@ -370,16 +365,7 @@ class ClosedLoop:
         return _pack(plant, cs, self.reduced)
 
     def unpack(self, y):
-        n, m = self.g.n, self.g.m
-        plant = PlantState.from_vector(y[:self.n_plant], n, m)
-        cv = y[self.n_plant:]
-        if self.reduced:
-            Ihat = cv[n:n + 2 * n + m][self.g.layout.ix_I]
-            ups = np.full(n, Ihat.sum())
-            nu = self._lap_pinv @ (n * Ihat - ups)
-            cv = np.concatenate([ups, nu, cv])
-        cs = ControllerState.from_vector(cv, self.g)
-        return plant, cs
+        return _unpack(y, self.g, self.reduced)
 
     # -- reference (readable) dynamics ------------------------------------
     def rhs_reference(self, t, y, ctx=None):
@@ -437,6 +423,20 @@ def _pack(plant: PlantState, cs: ControllerState, reduced) -> np.ndarray:
     if reduced:
         cv = cv[2 * cs.upsilon.size:]
     return np.concatenate([plant.to_vector(), cv])
+
+
+def _unpack(y, g: GameDefinition, reduced):
+    """Plant and controller states of a flat closed-loop state of game
+    ``g``; the reduced model's upsilon and nu are their quasi-steady
+    values."""
+    n, m = g.n, g.m
+    plant = PlantState.from_vector(y[:2 * n + m], n, m)
+    cv = y[2 * n + m:]
+    if reduced:
+        ups, nu = fast_equilibrium(cv[n:n + 2 * n + m][g.layout.ix_I],
+                                   g.comm_topo)
+        cv = np.concatenate([ups, nu, cv])
+    return plant, ControllerState.from_vector(cv, g)
 
 
 @dataclass
@@ -501,36 +501,27 @@ def csv_header(g: GameDefinition, reduced=False):
     return cols
 
 
-def _stability_limit(plant: PlantParams):
+def _stability_limit(lines):
     # explicit-method bound set by the fastest line time constant
-    if plant.m == 0:
-        return np.inf
-    return 2.0 * float(np.min(plant.L_l / plant.R_l))
+    return 2.0 * min((l.L / l.R for l in lines), default=np.inf)
 
 
-def run_scenario(scenario: Scenario, outdir=None, check=False,
-                 reduced=False):
+def run_scenario(scenario: Scenario, outdir=None, reduced=False):
     """Simulate the scenario; returns (trajectory, diagnostics, report).
 
     Writes ``timeseries.csv`` and ``summary.json`` into ``outdir`` when
     given.  ``reduced=True`` integrates the quasi-steady-state model
-    (no consensus-estimator states).
+    (no consensus-estimator states).  The time grid is checked again
+    before any solve: a replaced ``integrator`` was not checked on parsing.
     """
     import os
 
     cfg = scenario.integrator
-    if cfg.method == "rk4":
-        limit = _stability_limit(scenario.plant)
-        if cfg.dt >= limit:
-            raise ScenarioError([
-                f"dt={cfg.dt:g} violates the line-dynamics stability bound "
-                f"{limit:g}; refusing to start"])
-
-    epochs_params = [scenario.plant]
-    for ev in scenario.events:
-        epochs_params.append(apply_load_step(epochs_params[-1], ev.d_IL,
-                                             ev.d_ZL))
-    games = [scenario.game(p) for p in epochs_params]
+    times = [ev.time for ev in scenario.events]
+    errors = grid_errors(cfg, times, _stability_limit(scenario.plant.lines))
+    if errors:
+        raise ScenarioError(errors)
+    games = scenario.games
     cp = scenario.controller
     solved = {}       # era -> solve_vi solution, shared with the export
 
@@ -578,16 +569,9 @@ def run_scenario(scenario: Scenario, outdir=None, check=False,
         def advance(era, y, t0, n_samples):
             return rk45_samples(loop_of(era).rhs_fast, y, t0, n_samples, cfg,
                                 None)
-    try:
-        traj = run_eras(y, cfg, [ev.time for ev in scenario.events], advance)
-    except GridError as err:
-        raise ScenarioError([str(err)]) from err
-
-    # rows of every era unpack alike: no event changes n, m or the
-    # communication graph; era 0's loop is built only if none ran (t_end 0)
-    unpack = loop_of(next(iter(live), 0)).unpack
-    diag = _diagnostics(traj, games, cp, unpack)
-    report = _build_report(scenario, traj, diag, games, cp, reduced)
+    traj = run_eras(y, cfg, times, advance)
+    diag = _diagnostics(traj, games, cp, reduced)
+    report = _build_report(scenario, traj, diag, reduced)
     if outdir is not None:
         report.equilibrium = _equilibrium_export(games, solved)
         os.makedirs(outdir, exist_ok=True)
@@ -596,17 +580,14 @@ def run_scenario(scenario: Scenario, outdir=None, check=False,
         with open(os.path.join(outdir, "summary.json"), "w") as f:
             json.dump(report.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
-    if check:
-        report.checks["ok"] = all(
-            v for k, v in report.checks.items() if k != "ok")
     return traj, diag, report
 
 
-def _diagnostics(traj: Trajectory, games, cp, unpack):
+def _diagnostics(traj: Trajectory, games, cp, reduced):
     rows = np.zeros((traj.n_samples, len(_DIAG_COLUMNS)))
     for k in range(traj.n_samples):
         g = games[traj.epoch[k]]
-        plant, cs = unpack(traj.y[k])
+        plant, cs = _unpack(traj.y[k], g, reduced)
         res = kkt_residual(cs, g, cp)
         ups_spread, lam_spread = consensus_errors(cs, g)
         E_b, E_r = lyapunov_diagnostics(plant, cs, g, cp)
@@ -658,8 +639,8 @@ def _convergence_time(t, kkt, threshold):
     return float(t[idx])
 
 
-def _build_report(scenario, traj, diag, games, cp, reduced):
-    cfg = scenario.integrator
+def _build_report(scenario, traj, diag, reduced):
+    cfg, games, cp = scenario.integrator, scenario.games, scenario.controller
     seg_bounds = [0.0] + [ev.time for ev in scenario.events] + [cfg.t_end]
     conv = []
     for e in range(len(games)):

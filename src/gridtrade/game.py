@@ -285,19 +285,22 @@ def local_gradient(g: GameDefinition, x, upsilon, with_penalty=True):
     return out
 
 
-def local_gradient_interval(g: GameDefinition, x, upsilon, kink_tol=1e-9):
+_KINK_TOL = 1e-9     # distance from a bound that counts as on the kink
+
+
+def local_gradient_interval(g: GameDefinition, x, upsilon):
     """Like :func:`local_gradient` but set-valued at the penalty kinks.
 
     Returns (lo, hi) arrays bounding the subdifferential of each stacked
     entry; entries without a penalty have lo == hi.  Values within
-    ``kink_tol`` of a bound count as sitting on the kink, absorbing
+    ``_KINK_TOL`` of a bound count as sitting on the kink, absorbing
     floating-point placement of pinned solutions.
     """
     base = local_gradient(g, x, upsilon, with_penalty=False)
     b = g.boxes
     v = np.asarray(x, dtype=float)[b.pos]
-    v = np.where(np.abs(v - b.lo) <= kink_tol, b.lo,
-                 np.where(np.abs(v - b.hi) <= kink_tol, b.hi, v))
+    v = np.where(np.abs(v - b.lo) <= _KINK_TOL, b.lo,
+                 np.where(np.abs(v - b.hi) <= _KINK_TOL, b.hi, v))
     # penalty_subgradient's interval, entry by entry
     lo = base.copy()
     hi = base.copy()

@@ -1,11 +1,11 @@
 """Deterministic ODE integration with parameter-swap events.
 
-Fixed-step classic RK4 and adaptive Dormand-Prince RK45, and
-:func:`run_eras`, the one runner that validates the time grids and emits
-the sampled rows for :func:`integrate` and for every method of
-``engine.run_scenario``.  Samples and events always land on step
-boundaries, so sampling never perturbs the integration and repeated runs
-are bit-identical.
+Fixed-step classic RK4 and adaptive Dormand-Prince RK45;
+:func:`grid_errors`, the one check of the time grid and the event times;
+and :func:`run_eras`, the one runner that emits the sampled rows for
+:func:`integrate` and for every method of ``engine.run_scenario``.
+Samples and events always land on step boundaries, so sampling never
+perturbs the integration and repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ class IntegrationError(RuntimeError):
         self.t_last = t_last
         self.y_last = y_last
         self.trajectory = trajectory
-
-
-class GridError(ValueError):
-    """Time grid or event times refused by :func:`run_eras` before any
-    propagation."""
 
 
 @dataclass(frozen=True)
@@ -153,36 +148,50 @@ def rk45_samples(rhs, y, t0, n_samples, cfg, ctx):
     return out, y
 
 
+def grid_errors(cfg: IntegratorConfig, event_times, dt_limit=np.inf):
+    """Every problem of the time grid and the event times, as messages.
+
+    The package's one time-grid check: the event times must increase
+    strictly inside (0, t_end], they and ``t_end`` must sit on the sample
+    grid, and, for ``rk4``, the sample period must be a whole number of
+    steps and ``dt`` must lie under the stability bound ``dt_limit``.
+    An empty list means a run may start.
+    """
+    times = list(event_times)
+    sp = cfg.sample_period
+    errors = []
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        errors.append("event times must be strictly increasing")
+    if any(not (0.0 < t <= cfg.t_end) for t in times):
+        errors.append("event times must lie in (0, t_end]")
+    if cfg.method == "rk4" and not _is_multiple(sp, cfg.dt):
+        errors.append("sample_period must be an integer multiple of dt")
+    if cfg.method == "rk4" and cfg.dt >= dt_limit:
+        errors.append(f"dt={cfg.dt:g} violates the line-dynamics stability "
+                      f"bound {dt_limit:g}; refusing to start")
+    if not _is_multiple(cfg.t_end, sp):
+        errors.append(f"t_end {cfg.t_end} not on the sample grid "
+                      f"(sample_period {sp})")
+    errors += [f"event time {t} not on the sample grid" for t in times
+               if not _is_multiple(t, sp)]
+    return errors
+
+
 def run_eras(y0, cfg: IntegratorConfig, event_times, advance):
     """Sampled run over the eras that ``event_times`` cut [0, t_end] into.
 
-    The package's one time-grid runner.  Raises :class:`GridError` before
-    propagating unless the event times increase strictly inside
-    (0, t_end], they and ``t_end`` sit on the sample grid, and, for
-    ``rk4``, the sample period is a whole number of steps.
-    ``advance(era, y, t0, n_samples)`` propagates one era from time
-    ``t0`` and returns (samples, final state), ``samples[s]`` being the
-    state at ``t0 + (s + 1) * sample_period``; it may stop after the
-    first non-finite sample.  Each event adds a row with the pre-event
-    state tagged with the new era.  A non-finite sample, or an
+    The package's one time-grid runner, for a grid that
+    :func:`grid_errors` accepts.  ``advance(era, y, t0, n_samples)``
+    propagates one era from time ``t0`` and returns (samples, final
+    state), ``samples[s]`` being the state at
+    ``t0 + (s + 1) * sample_period``; it may stop after the first
+    non-finite sample.  Each event adds a row with the pre-event state
+    tagged with the new era.  A non-finite sample, or an
     :class:`IntegrationError` from ``advance``, raises
     :class:`IntegrationError` carrying the rows up to the last good one.
     """
     times = list(event_times)
     sp = cfg.sample_period
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise GridError("event times must be strictly increasing")
-    if any(not (0.0 < t <= cfg.t_end) for t in times):
-        raise GridError("event times must lie in (0, t_end]")
-    if cfg.method == "rk4" and not _is_multiple(sp, cfg.dt):
-        raise GridError("sample_period must be an integer multiple of dt")
-    if not _is_multiple(cfg.t_end, sp):
-        raise GridError(f"t_end {cfg.t_end} not on the sample grid "
-                        f"(sample_period {sp})")
-    for t in times:
-        if not _is_multiple(t, sp):
-            raise GridError(f"event time {t} not on the sample grid")
-
     y = np.array(y0, dtype=float)
     ts, ys, eras = [np.zeros(1)], [y[None].copy()], [np.zeros(1, dtype=int)]
 
@@ -227,15 +236,19 @@ def integrate(rhs, y0, config: IntegratorConfig, events=(), ctx=None,
 
     ``events`` is a sequence of (time, payload); at each event the
     context is replaced by ``on_event(ctx, payload)`` with the state left
-    continuous.  The grids are checked by :func:`run_eras`.  Returns a
-    :class:`Trajectory` whose rows are step boundaries at multiples of
-    ``sample_period`` (plus duplicated event rows).
+    continuous.  Raises ``ValueError`` with the messages of
+    :func:`grid_errors` before integrating when the grids are refused.
+    Returns a :class:`Trajectory` whose rows are step boundaries at
+    multiples of ``sample_period`` (plus duplicated event rows).
     """
     if config.method == "pwa":
         raise ValueError("method 'pwa' needs the closed loop's piecewise-"
                          "affine structure; run it through run_scenario")
-    samples = rk4_samples if config.method == "rk4" else rk45_samples
     events = list(events)
+    errors = grid_errors(config, [e[0] for e in events])
+    if errors:
+        raise ValueError("; ".join(errors))
+    samples = rk4_samples if config.method == "rk4" else rk45_samples
     ctxs = [ctx]
 
     def advance(era, y, t0, n_samples):

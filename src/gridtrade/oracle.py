@@ -75,31 +75,31 @@ def _box_bounds(g: GameDefinition, zl: _ZLayout):
     return lo, hi
 
 
+# Dykstra stops after 200000 alternations or on an iterate increment
+# below 1e-12 with an affine gap below 1e-9
+_DYKSTRA_STOP = (200000, 1e-12, 1e-9)
+
+
 class FeasibleSetProjector:
     """Dykstra alternating projection onto {M z = c} intersected with a box.
 
     Alternates exact affine projections with box clips, carrying the
-    usual correction vectors; iterate increments below ``tol`` stop the
-    loop.  The returned point satisfies the box exactly and the affine
-    set to projection accuracy.
+    usual correction vectors; small iterate increments (``_DYKSTRA_STOP``)
+    stop the loop.  The returned point satisfies the box exactly and the
+    affine set to projection accuracy.
     """
 
-    def __init__(self, M, c, lo, hi, max_alternations=200000, tol=1e-12,
-                 feas_tol=1e-9):
+    def __init__(self, M, c, lo, hi):
         self.M = np.ascontiguousarray(M)
         self.c = np.ascontiguousarray(c)
         self.lo = np.ascontiguousarray(lo)
         self.hi = np.ascontiguousarray(hi)
-        self.max_alternations = max_alternations
-        self.tol = tol
-        self.feas_tol = feas_tol
         self._gram_inv = np.linalg.inv(M @ M.T)
         self._P = np.ascontiguousarray(self.M.T @ self._gram_inv)
 
     def project(self, z0):
         return _kernels.dykstra_project(self._P, self.M, self.c, self.lo,
-                                        self.hi, z0, self.max_alternations,
-                                        self.tol, self.feas_tol)
+                                        self.hi, z0, *_DYKSTRA_STOP)
 
 
 @dataclass
@@ -142,14 +142,15 @@ class EquilibriumSolution:
     history: list = None
 
 
-def _lipschitz_estimate(G, iters=50, seed=0):
-    """Power-iteration estimate of the spectral norm of G."""
-    rng = np.random.default_rng(seed)
+def _lipschitz_estimate(G):
+    """Power-iteration estimate of the spectral norm of G: 50 iterations
+    from a start drawn with seed 0."""
+    rng = np.random.default_rng(0)
     v = rng.normal(size=G.shape[1])
     v /= np.linalg.norm(v)
     S = G.T @ G
     est = 0.0
-    for _ in range(iters):
+    for _ in range(50):
         w = S @ v
         est = np.linalg.norm(w)
         if est == 0.0:
@@ -392,8 +393,11 @@ def _active_set(g: GameDefinition, cp: ControllerParams = None, z=None):
     return None
 
 
-def recover_multipliers(sol: EquilibriumSolution, g: GameDefinition,
-                        active_tol: float = 1e-6) -> MultiplierRecovery:
+_ACTIVE_TOL = 1e-6   # distance from a bound at which a box row is active
+
+
+def recover_multipliers(sol: EquilibriumSolution,
+                        g: GameDefinition) -> MultiplierRecovery:
     """Multipliers certifying a candidate equilibrium.
 
     The local-equality multipliers come directly from the voltage-dynamics
@@ -415,8 +419,8 @@ def recover_multipliers(sol: EquilibriumSolution, g: GameDefinition,
 
     zl = _ZLayout(g)
     lo_b, hi_b = (b[zl.z_of_x] for b in _box_bounds(g, zl))
-    active_lower = np.abs(x - lo_b) <= active_tol
-    active_upper = np.abs(x - hi_b) <= active_tol
+    active_lower = np.abs(x - lo_b) <= _ACTIVE_TOL
+    active_upper = np.abs(x - hi_b) <= _ACTIVE_TOL
     inactive = ~(active_lower | active_upper)
 
     AT = g.constraints.A_full.T

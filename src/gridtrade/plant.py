@@ -150,21 +150,24 @@ def steady_state_matrix(params: PlantParams, topo: MicrogridTopology):
     return S
 
 
-def plant_equilibrium(u, params: PlantParams, topo: MicrogridTopology,
-                      cond_limit: float = 1e12) -> PlantState:
+_COND_LIMIT = 1e12   # steady-state conditioning beyond which it is singular
+
+
+def plant_equilibrium(u, params: PlantParams,
+                      topo: MicrogridTopology) -> PlantState:
     """Unique steady state for the given control voltages.
 
     Solves the linear steady-state system; raises
     :class:`SingularSystemError` when its conditioning exceeds
-    ``cond_limit`` (degenerate parameters).
+    ``_COND_LIMIT`` (degenerate parameters).
     """
     u = np.asarray(u, dtype=float)
     n, m = params.n, params.m
     S = steady_state_matrix(params, topo)
     cond = np.linalg.cond(S)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularSystemError(
-            f"steady-state system conditioning {cond:.2e} exceeds {cond_limit:.0e}")
+            f"steady-state system conditioning {cond:.2e} exceeds {_COND_LIMIT:.0e}")
     rhs = np.concatenate([-u, params.I_L, np.zeros(m)])
     y = np.linalg.solve(S, rhs)
     resid = np.linalg.norm(S @ y - rhs) / max(1.0, np.linalg.norm(rhs))

@@ -22,8 +22,7 @@ def ref_cp(ref_scenario):
 
 @pytest.fixture(scope="session")
 def ref_post_game(ref_scenario):
-    stepped = gt.apply_load_step(ref_scenario.plant, 3.0, 3.0)
-    return ref_scenario.game(stepped)
+    return ref_scenario.games[1]
 
 
 @pytest.fixture(scope="session")

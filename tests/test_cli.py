@@ -55,6 +55,28 @@ class TestValidate:
         assert rc == 1
         assert "nu must sum to zero" in capsys.readouterr().err
 
+    def test_off_grid_times_reported(self, tmp_path, capsys):
+        d = ring4_dict()
+        d["integrator"]["t_end"] = 0.0026
+        d["events"][0]["time"] = 0.0015
+        path = tmp_path / "off_grid.json"
+        write_scenario(d, path)
+        rc = main(["validate", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "t_end 0.0026 not on the sample grid" in err
+        assert "event time 0.0015 not on the sample grid" in err
+
+    def test_unstable_dt_reported(self, tmp_path, capsys):
+        d = ring4_dict()
+        d["integrator"]["dt"] = "1e-4 s"
+        path = tmp_path / "unstable.json"
+        write_scenario(d, path)
+        rc = main(["validate", str(path)])
+        assert rc == 1
+        assert "violates the line-dynamics stability bound" in \
+            capsys.readouterr().err
+
 
 class TestSimulate:
     def test_missing_file(self, capsys):
@@ -80,6 +102,18 @@ class TestSimulate:
                    "--dt", "1e-3"])
         assert rc == 1
         assert "stability" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "reduced"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dt", "-1", "dt and sample_period must be > 0"),
+        ("--t-end", "-1", "t_end must be >= 0"),
+        ("--eps", "0", "controller time-scale constants must be > 0")])
+    def test_refused_override_exits_1(self, short_scenario, tmp_path, capsys,
+                                      command, flag, value, message):
+        rc = main([command, short_scenario, "--out", str(tmp_path / "r"),
+                   flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_flag(self, short_scenario):
         with pytest.raises(SystemExit) as ei:

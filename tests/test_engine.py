@@ -1,5 +1,6 @@
 import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,8 +61,15 @@ class TestScenarioValidation:
     def test_event_beyond_horizon_rejected(self):
         d = ring4_dict(integrator={"method": "rk4", "dt": "1e-5 s",
                                    "t_end": "2 s"})
-        with pytest.raises(ScenarioError, match="beyond t_end"):
+        with pytest.raises(ScenarioError, match=r"event times must lie in "
+                                                r"\(0, t_end\]"):
             Scenario.from_dict(d)
+
+    def test_negative_event_time_outside_horizon(self):
+        d = ring4_dict(events=[{"time": "-1 ms", "d_IL": "1 A"}])
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == ["event times must lie in (0, t_end]"]
 
     @pytest.mark.parametrize("value", [[], "rk4", [1]])
     @pytest.mark.parametrize("section", [None, "topology", "integrator",
@@ -245,46 +253,70 @@ class TestRunScenario:
             supply = du @ dI
             assert w_rate <= supply + 1e-9 * max(1.0, abs(supply))
 
-    def test_t_end_zero(self):
+    def test_t_end_zero(self, monkeypatch):
+        built = []
+
+        class Counting(ClosedLoop):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ClosedLoop", Counting)
         scn = Scenario.from_dict(ring4_dict(
             integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0 s"},
             events=[]))
-        traj, diag, report = run_scenario(scn)
-        assert traj.n_samples == 1
-        assert traj.t[0] == 0.0
-        assert report.assumption_margins["epoch0"]["price_margin"] > 0
+        for reduced in (False, True):
+            traj, diag, report = run_scenario(scn, reduced=reduced)
+            assert traj.n_samples == 1
+            assert traj.t[0] == 0.0
+            assert np.isfinite(diag).all()
+            assert report.assumption_margins["epoch0"]["price_margin"] > 0
+        assert built == []      # no era ran, so no closed loop is assembled
 
     def test_stability_guard(self):
-        scn = Scenario.from_dict(ring4_dict(
-            integrator={"method": "rk4", "dt": "1e-4 s", "t_end": "0.01 s"},
-            events=[]))
         with pytest.raises(ScenarioError, match="stability"):
-            run_scenario(scn)
+            Scenario.from_dict(ring4_dict(
+                integrator={"method": "rk4", "dt": "1e-4 s",
+                            "t_end": "0.01 s"},
+                events=[]))
 
     def test_sample_grid_guard(self):
-        scn = Scenario.from_dict(ring4_dict(
-            integrator={"method": "rk4", "dt": "3e-6 s", "t_end": "0.01 s"},
-            events=[], output={"sample_period": "1e-5 s"}))
         with pytest.raises(ScenarioError, match="integer multiple"):
-            run_scenario(scn)
+            Scenario.from_dict(ring4_dict(
+                integrator={"method": "rk4", "dt": "3e-6 s",
+                            "t_end": "0.01 s"},
+                events=[], output={"sample_period": "1e-5 s"}))
 
     @pytest.mark.parametrize("method", ["rk4", "rk45", "pwa"])
     def test_t_end_off_sample_grid(self, method):
-        scn = Scenario.from_dict(ring4_dict(
-            integrator={"method": method, "dt": "1e-5 s", "t_end": 0.0026},
-            events=[], output={"sample_period": "1e-3 s"},
-            initial={"plant": "zeros", "controller": "zeros"}))
         with pytest.raises(ScenarioError, match="t_end 0.0026 not on the "
                                                 "sample grid"):
-            run_scenario(scn)
+            Scenario.from_dict(ring4_dict(
+                integrator={"method": method, "dt": "1e-5 s",
+                            "t_end": 0.0026},
+                events=[], output={"sample_period": "1e-3 s"},
+                initial={"plant": "zeros", "controller": "zeros"}))
 
     def test_event_off_grid_guard(self):
+        with pytest.raises(ScenarioError, match="grid"):
+            Scenario.from_dict(ring4_dict(
+                integrator={"method": "rk4", "dt": "1e-5 s",
+                            "t_end": "0.01 s"},
+                events=[{"time": 0.00150001, "d_IL": 1.0}],
+                output={"sample_period": "1e-3 s"}))
+
+    def test_replaced_integrator_checked_before_solving(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(engine, "solve_vi", unreachable)
         scn = Scenario.from_dict(ring4_dict(
             integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.01 s"},
-            events=[{"time": 0.00150001, "d_IL": 1.0}],
-            output={"sample_period": "1e-3 s"}))
-        with pytest.raises(ScenarioError, match="grid"):
-            run_scenario(scn)
+            events=[]))
+        with pytest.raises(ScenarioError, match="t_end 0.0026 not on the "
+                                                "sample grid"):
+            run_scenario(replace(scn, integrator=replace(
+                scn.integrator, t_end=0.0026)))
 
     def test_determinism_byte_identical(self, tmp_path, short_scenario_dict):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -148,12 +148,12 @@ class TestLongRun:
 
 class TestGuards:
     def test_event_off_sample_grid(self):
-        scn = Scenario.from_dict(ring4_dict(
-            integrator={"method": "pwa", "dt": "1e-5 s", "t_end": "0.01 s"},
-            events=[{"time": 0.0015, "d_IL": 1.0}],
-            initial={"plant": "zeros", "controller": "zeros"}))
         with pytest.raises(gt.ScenarioError, match="sample grid"):
-            run_scenario(scn)
+            Scenario.from_dict(ring4_dict(
+                integrator={"method": "pwa", "dt": "1e-5 s",
+                            "t_end": "0.01 s"},
+                events=[{"time": 0.0015, "d_IL": 1.0}],
+                initial={"plant": "zeros", "controller": "zeros"}))
 
     def test_generic_integrate_refuses_pwa(self):
         cfg = gt.IntegratorConfig(method="pwa", t_end=1.0)

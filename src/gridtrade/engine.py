@@ -1,8 +1,10 @@
 """Scenario ingestion, closed-loop assembly, simulation runs and reports.
 
-A scenario file is a JSON tree with explicit unit suffixes.  Parsing
-checks it once, time grid included (``integrate.grid_errors``), and keeps
-the game of every load era on the frozen :class:`Scenario`.  The closed
+A scenario file is a JSON tree with explicit unit suffixes.  Each section
+is read from the type it builds, whose declaration gives its keys and
+defaults; any other key is refused.  Parsing checks the tree once, time
+grid included (``integrate.grid_errors``), and keeps the game of every
+load era on the frozen :class:`Scenario`.  The closed
 loop (grid + controller) is affine apart from the box penalties, so the
 engine probes the exact system matrix of each load era when that era
 starts and propagates it with the affine RK4 kernel, with RK45, or
@@ -14,9 +16,12 @@ time: N² doubles for N = 4n² + 10n states, 11.2 MB at n = 16 and
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -47,31 +52,127 @@ class ScenarioError(ValueError):
 _UNIT_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-zµ]*)\s*$")
 _BASE_UNITS = ("ohm", "v", "a", "h", "f", "s")
 _PREFIXES = {"": 1.0, "m": 1e-3, "u": 1e-6, "µ": 1e-6, "n": 1e-9, "k": 1e3}
+# the top-level keys of a scenario file
+_SECTIONS = ("name", "topology", "dgus", "lines", "price", "weights",
+             "penalties", "controller", "integrator", "output", "events",
+             "initial")
+# the keys of a weights[i] record and of penalties: their builders' parameters
+_WEIGHT_KEYS = tuple(inspect.signature(ObjectiveWeights).parameters)
+_PENALTY_KEYS = tuple(inspect.signature(PenaltyParams).parameters)
+_KINDS = {dict: "a JSON object", list: "a JSON list", str: "text"}
 
 
 def parse_quantity(value) -> float:
-    """Number in SI units from a bare number or a string like ``"20 mOhm"``."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    m = _UNIT_RE.match(str(value))
-    if not m:
-        raise ValueError(f"cannot parse quantity {value!r}")
-    num, unit = float(m.group(1)), m.group(2)
-    if unit == "":
-        return num
-    for base in _BASE_UNITS:
-        if unit.lower().endswith(base):
-            prefix = unit[: len(unit) - len(base)]
-            if prefix in _PREFIXES:
-                return num * _PREFIXES[prefix]
-    raise ValueError(f"unknown unit suffix {unit!r} in {value!r}")
+    """Finite number in SI units from a bare number or a string like
+    ``"20 mOhm"``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        q = float(value) if abs(value) <= sys.float_info.max else math.inf
+    else:
+        m = _UNIT_RE.match(str(value))
+        if not m:
+            raise ValueError(f"cannot parse quantity {value!r}")
+        q, unit = float(m.group(1)), m.group(2)
+        if unit:
+            for base in _BASE_UNITS:
+                prefix = unit[: len(unit) - len(base)]
+                if unit.lower().endswith(base) and prefix in _PREFIXES:
+                    q *= _PREFIXES[prefix]
+                    break
+            else:
+                raise ValueError(f"unknown unit suffix {unit!r} in {value!r}")
+    if not math.isfinite(q):
+        raise ValueError(f"quantity {value!r} is not finite")
+    return q
 
 
-@dataclass
+def _json(node, kind, where, errors):
+    """``node`` when it is a ``kind`` (dict, list or str), else None and
+    an error."""
+    if isinstance(node, kind):
+        return node
+    errors.append(f"{where}: expected {_KINDS[kind]}, got "
+                  f"{type(node).__name__}")
+    return None
+
+
+def _keys(node, where, errors, required=(), optional=()):
+    """``node`` when it is a JSON object, else None; each key of
+    ``required`` it lacks and each key it holds that neither tuple names
+    goes in ``errors``."""
+    if _json(node, dict, where, errors) is not None:
+        errors += [f"{where}: missing field {k!r}" for k in required
+                   if k not in node]
+        errors += [f"{where}: unknown key {k!r}" for k in node
+                   if k not in required and k not in optional]
+        return node
+
+
+def _record(cls, node, where, errors, names=None, **known):
+    """The dataclass ``cls`` read from the JSON object ``node``, or None.
+
+    ``node`` may hold the keys in ``names`` (default: every field not in
+    ``known``); the fields among them are read, a ``float`` one with
+    :func:`parse_quantity` and any other as it is, and an absent one
+    takes its default.  ``known`` gives fields read elsewhere.  A node
+    that is not an object, a missing required field, an undeclared key,
+    an unreadable value or a value ``cls`` refuses goes in ``errors`` as
+    ``<where>: …``.
+    """
+    own = [f for f in fields(cls) if f.name not in known
+           and (names is None or f.name in names)]
+    required = [f.name for f in own if f.default is MISSING]
+    if _keys(node, where, errors, required,
+             names or [f.name for f in own]) is None:
+        return None
+    count = len(errors)
+    values = dict(known)
+    for f in (f for f in own if f.name in node):
+        try:
+            values[f.name] = parse_quantity(node[f.name]) \
+                if f.type in ("float", float) else node[f.name]
+        except ValueError as e:
+            errors.append(f"{where}.{f.name}: {e}")
+    if len(errors) > count or any(k not in node for k in required):
+        return None
+    try:
+        return cls(**values)
+    except (ValueError, TypeError, OverflowError) as e:
+        errors.append(f"{where}: {e}")
+        return None
+
+
+def _blocks(node, zero, where, errors):
+    """The blocks of the JSON object ``node`` as flat float arrays, named
+    and sized as the array fields of the state ``zero``; an undeclared
+    block, an unreadable value or a wrong size goes in ``errors``."""
+    blocks = {}
+    for key, val in node.items():
+        if key not in {f.name for f in fields(zero)}:
+            errors.append(f"{where}: unknown block {key!r}")
+            continue
+        try:
+            arr = np.array([parse_quantity(v) for v in
+                            np.array(val, dtype=object).ravel()])
+        except (ValueError, TypeError) as e:
+            errors.append(f"{where}.{key}: {e}")
+            continue
+        size = getattr(zero, key).size
+        if arr.size == size:
+            blocks[key] = arr
+        else:
+            errors.append(f"{where}.{key}: expected {size} values, got "
+                          f"{arr.size}")
+    return blocks
+
+
+@dataclass(frozen=True)
 class Event:
+    """Load step at ``time``: every DGU's I_L drops by ``d_IL`` and its
+    Z_L by ``d_ZL`` (``plant.apply_load_step``)."""
+
     time: float
-    d_IL: float
-    d_ZL: float
+    d_IL: float = 0.0
+    d_ZL: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -100,176 +201,110 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ScenarioError([f"scenario: expected a JSON object, got "
-                                 f"{type(d).__name__}"])
         errors = []
+        if _keys(d, "scenario", errors, optional=_SECTIONS) is None:
+            raise ScenarioError(errors)
+        name = _json(d.get("name", "scenario"), str, "name", errors)
 
-        def section(key):
-            """``d[key]`` ({} when absent); None, and an error, when it is
-            not a JSON object."""
-            node = d.get(key, {})
-            if isinstance(node, dict):
-                return node
-            errors.append(f"{key}: expected a JSON object, got "
-                          f"{type(node).__name__}")
-            return None
-
-        def grab(path, conv=parse_quantity, default=KeyError):
-            node = d
+        tnode = d.get("topology", {})
+        topo = _record(MicrogridTopology, tnode, "topology", errors,
+                       names=[f.name for f in fields(MicrogridTopology)]
+                       + ["comm_edges"])
+        comm_topo = None
+        if topo is not None and (ce := tnode.get("comm_edges")):
             try:
-                for key in path.split("."):
-                    node = node[key]
-            except (KeyError, TypeError, IndexError):
-                if default is KeyError:
-                    errors.append(f"missing field {path!r}")
-                    return None
-                return default
-            try:
-                return conv(node) if conv else node
-            except (ValueError, TypeError) as e:
-                errors.append(f"field {path!r}: {e}")
-                return None
-
-        name = d.get("name", "scenario")
-        topo = comm_topo = None
-        tnode = section("topology")
-        if tnode is not None:
-            try:
-                topo = MicrogridTopology(tnode.get("n", 0),
-                                         tnode.get("edges", []),
-                                         tnode.get("managers", []))
-            except (ValueError, TypeError) as e:
-                errors.append(f"topology: {e}")
-        if topo is not None and tnode.get("comm_edges"):
-            try:
-                ce = tnode["comm_edges"]
                 comm_topo = MicrogridTopology(topo.n, ce, [h for h, _ in ce])
-            except (ValueError, TypeError) as e:
+            except (ValueError, TypeError, OverflowError) as e:
                 errors.append(f"topology.comm_edges: {e}")
 
-        dgus, lines = [], []
-        for i, rec in enumerate(d.get("dgus", []), start=1):
-            try:
-                dgus.append(DguParams(
-                    R=parse_quantity(rec["R"]), L=parse_quantity(rec["L"]),
-                    C=parse_quantity(rec["C"]), Z_L=parse_quantity(rec["Z_L"]),
-                    I_L=parse_quantity(rec["I_L"]),
-                    V_min=parse_quantity(rec["V_min"]),
-                    V_max=parse_quantity(rec["V_max"]),
-                    V_ref=parse_quantity(rec["V_ref"]),
-                    I_ref=parse_quantity(rec.get("I_ref", 0.0)),
-                    u_ref=parse_quantity(rec.get("u_ref", 0.0))))
-            except (KeyError, ValueError, TypeError) as e:
-                errors.append(f"dgus[{i}]: {e!r}")
-        for k, rec in enumerate(d.get("lines", []), start=1):
-            try:
-                lines.append(LineParams(
-                    R=parse_quantity(rec["R"]), L=parse_quantity(rec["L"]),
-                    Il_min=parse_quantity(rec["Il_min"]),
-                    Il_max=parse_quantity(rec["Il_max"]),
-                    Il_ref=parse_quantity(rec.get("Il_ref", 0.0))))
-            except (KeyError, ValueError, TypeError) as e:
-                errors.append(f"lines[{k}]: {e!r}")
+        def records(cls, key):
+            return [_record(cls, rec, f"{key}[{i}]", errors) for i, rec
+                    in enumerate(_json(d.get(key, []), list, key, errors)
+                                 or [], 1)]
+
+        dgus, lines = records(DguParams, "dgus"), records(LineParams, "lines")
         if topo is not None and len(dgus) != topo.n:
             errors.append(f"expected {topo.n} dgu records, got {len(dgus)}")
         if topo is not None and len(lines) != topo.m:
             errors.append(f"expected {topo.m} line records, got {len(lines)}")
+        price = _record(PriceParams, d.get("price", {}), "price", errors)
 
-        price = weights = penalties = None
-        l = grab("price.l")
-        p_r = grab("price.p_r")
-        if l is not None and p_r is not None:
-            try:
-                price = PriceParams(l, p_r)
-            except ValueError as e:
-                errors.append(f"price: {e}")
-        wnode = d.get("weights", [])
+        weights = penalties = None
+        wnode = _json(d.get("weights", []), list, "weights", errors) or []
         if topo is not None and len(wnode) == topo.n:
-            try:
-                managed = topo.managed_lines
-                alpha_Il = []
-                for i, rec in enumerate(wnode, start=1):
-                    a = rec["alpha_Il"]
-                    count = len(managed[i])
-                    if isinstance(a, (int, float, str)):
-                        alpha_Il.append([parse_quantity(a)] * count)
-                    else:
-                        alpha_Il.append([parse_quantity(v) for v in a])
-                weights = ObjectiveWeights(
-                    r=[parse_quantity(rec["r"]) for rec in wnode],
-                    alpha_u=[parse_quantity(rec["alpha_u"]) for rec in wnode],
-                    alpha_I=[parse_quantity(rec["alpha_I"]) for rec in wnode],
-                    alpha_V=[parse_quantity(rec["alpha_V"]) for rec in wnode],
-                    alpha_Il=alpha_Il)
-            except (KeyError, ValueError, TypeError) as e:
-                errors.append(f"weights: {e!r}")
+            cols, managed = {k: [] for k in _WEIGHT_KEYS}, topo.managed_lines
+            count = len(errors)
+            for i, rec in enumerate(wnode, start=1):
+                rec = _keys(rec, f"weights[{i}]", errors, _WEIGHT_KEYS) or {}
+                for k in (k for k in _WEIGHT_KEYS if k in rec):
+                    a = rec[k]
+                    try:
+                        if k != "alpha_Il":
+                            cols[k].append(parse_quantity(a))
+                        elif isinstance(a, list):
+                            cols[k].append([parse_quantity(v) for v in a])
+                        else:       # one weight for every managed line
+                            cols[k].append([parse_quantity(a)]
+                                           * len(managed[i]))
+                    except ValueError as e:
+                        errors.append(f"weights[{i}].{k}: {e}")
+            if len(errors) == count:
+                try:
+                    weights = ObjectiveWeights(**cols)
+                except ValueError as e:
+                    errors.append(f"weights: {e}")
         else:
             errors.append("weights: need one record per agent")
-        try:
-            penalties = PenaltyParams(
-                [parse_quantity(v) for v in d["penalties"]["rho_V"]],
-                [parse_quantity(v) for v in d["penalties"]["rho_Il"]])
-        except (KeyError, ValueError, TypeError) as e:
-            errors.append(f"penalties: {e!r}")
-
-        ctrl = None
-        try:
-            cnode = section("controller") or {}
-            ctrl = ControllerParams(
-                eps_fast=parse_quantity(cnode.get("eps_fast", 0.01)),
-                eps_u=parse_quantity(cnode.get("eps_u", 0.1)))
-        except ValueError as e:
-            errors.append(f"controller: {e}")
-        integ = None
-        try:
-            inode = section("integrator") or {}
-            integ = IntegratorConfig(
-                method=inode.get("method", "rk4"),
-                dt=parse_quantity(inode.get("dt", 1e-5)),
-                t_end=parse_quantity(inode.get("t_end", 10.0)),
-                sample_period=parse_quantity(
-                    (section("output") or {}).get("sample_period", 1e-3)),
-                rtol=parse_quantity(inode.get("rtol", 1e-8)),
-                atol=parse_quantity(inode.get("atol", 1e-10)))
-        except ValueError as e:
-            errors.append(f"integrator: {e}")
-
-        events = []
-        for j, rec in enumerate(d.get("events", []), start=1):
+        count = len(errors)
+        pnode = _keys(d.get("penalties", {}), "penalties", errors,
+                      _PENALTY_KEYS) or {}
+        rho = {}
+        for k in (k for k in _PENALTY_KEYS if k in pnode):
             try:
-                events.append(Event(parse_quantity(rec["time"]),
-                                    parse_quantity(rec.get("d_IL", 0.0)),
-                                    parse_quantity(rec.get("d_ZL", 0.0))))
-            except (KeyError, ValueError, TypeError) as e:
-                errors.append(f"events[{j}]: {e!r}")
-        if integ is not None:
-            errors += grid_errors(integ, [ev.time for ev in events],
-                                  _stability_limit(lines))
+                rho[k] = [parse_quantity(v) for v in _json(
+                    pnode[k], list, f"penalties.{k}", errors) or []]
+            except ValueError as e:
+                errors.append(f"penalties.{k}: {e}")
+        if len(errors) == count:
+            try:
+                penalties = PenaltyParams(**rho)
+            except ValueError as e:
+                errors.append(f"penalties: {e}")
 
-        init = section("initial") or {}
+        ctrl = _record(ControllerParams, d.get("controller", {}),
+                       "controller", errors)
+        out = _record(IntegratorConfig, d.get("output", {}), "output", errors,
+                      names=("sample_period",)) or IntegratorConfig()
+        integ = _record(IntegratorConfig, d.get("integrator", {}),
+                        "integrator", errors, sample_period=out.sample_period)
+        events = records(Event, "events")
+        if integ is not None:
+            errors += grid_errors(integ, [ev.time for ev in events if ev],
+                                  _stability_limit(ln for ln in lines if ln))
+
+        init = _keys(d.get("initial", {}), "initial", errors,
+                     optional=("plant", "controller")) or {}
         initial_plant = init.get("plant", "equilibrium")
         initial_controller = init.get("controller", "zeros")
         if isinstance(initial_plant, dict):
-            try:
-                initial_plant = PlantState(
-                    [parse_quantity(v) for v in initial_plant["I"]],
-                    [parse_quantity(v) for v in initial_plant["V"]],
-                    [parse_quantity(v) for v in initial_plant.get("I_l", [])])
-            except (KeyError, ValueError, TypeError) as e:
-                errors.append(f"initial.plant: {e!r}")
-            else:
-                sizes = (("I", topo.n), ("V", topo.n), ("I_l", topo.m)) \
-                    if topo is not None else ()
-                for key, size in sizes:
-                    got = getattr(initial_plant, key).size
-                    if got != size:
-                        errors.append(f"initial.plant.{key}: expected {size} "
-                                      f"values, got {got}")
+            if topo is not None:
+                # a block left out reads as empty, so its size is refused
+                zero = PlantState.zeros(topo.n, topo.m)
+                blocks = _blocks({f.name: [] for f in fields(zero)}
+                                 | initial_plant, zero, "initial.plant",
+                                 errors)
+                if len(blocks) == len(fields(zero)):
+                    initial_plant = PlantState(**blocks)
         elif initial_plant not in ("equilibrium", "zeros"):
             errors.append(f"initial.plant: unknown mode {initial_plant!r}")
         if isinstance(initial_controller, dict):
-            errors += _controller_block_errors(initial_controller, topo)
+            if topo is not None:
+                # ControllerState.zeros reads only the sizes n and m
+                initial_controller = _blocks(
+                    initial_controller, ControllerState.zeros(topo),
+                    "initial.controller", errors)
+                if abs(np.sum(initial_controller.get("nu", 0.0))) > 1e-12:
+                    errors.append("initial.controller: nu must sum to zero")
         elif initial_controller != "zeros":
             errors.append(
                 f"initial.controller: unknown mode {initial_controller!r}")
@@ -305,35 +340,6 @@ class Scenario:
             return self.games[0]
         return build_game(self.topo, plant_params, self.price, self.weights,
                           self.penalties, comm_topo=self.comm_topo)
-
-
-def _controller_block_errors(blocks, topo):
-    """Problems of an ``initial.controller`` object: an unknown block, a
-    block whose length is not its ``ControllerState`` array's (n values,
-    2n + m for xhat, n (n + m) for lam and theta, nested or flat) and a
-    nu that does not sum to zero."""
-    errors = []
-    for key, val in blocks.items():
-        if key not in ("upsilon", "nu", "u", "xhat", "lam", "theta",
-                       "gamma"):
-            errors.append(f"initial.controller: unknown block {key!r}")
-            continue
-        try:
-            arr = np.asarray(val, dtype=float)
-        except (ValueError, TypeError) as e:
-            errors.append(f"initial.controller.{key}: {e}")
-            continue
-        if topo is not None:
-            n, m = topo.n, topo.m
-            size = {"xhat": 2 * n + m, "lam": n * (n + m),
-                    "theta": n * (n + m)}.get(key, n)
-            if arr.size != size:
-                errors.append(f"initial.controller.{key}: expected {size} "
-                              f"values, got {arr.size}")
-                continue
-        if key == "nu" and abs(arr.sum()) > 1e-12:
-            errors.append("initial.controller: nu must sum to zero")
-    return errors
 
 
 class ClosedLoop:

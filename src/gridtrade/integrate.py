@@ -61,8 +61,8 @@ class Trajectory:
 
 
 def _is_multiple(a, b, rel=1e-9):
-    k = round(a / b)
-    return abs(a - k * b) <= rel * max(abs(a), b)
+    q = a / b       # inf when b is tiny: then a is no multiple of b
+    return np.isfinite(q) and abs(a - round(q) * b) <= rel * max(abs(a), b)
 
 
 def rk4_step(rhs, t, y, dt, ctx):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridtrade.cli import main
-from gridtrade.engine import Scenario
+from gridtrade.engine import Scenario, ScenarioError
 from gridtrade.oracle import game_map_matrix
 from gridtrade.scenarios import ring4_dict, write_scenario
 
@@ -76,6 +76,30 @@ class TestValidate:
         assert rc == 1
         assert "violates the line-dynamics stability bound" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, key, where", [
+        ((), "events", "scenario"), (("integrator",), "t_end", "integrator"),
+        (("events", 0), "d_IL", "events[1]"),
+        (("controller",), "eps_fast", "controller"),
+        (("output",), "sample_period", "output"),
+        (("dgus", 0), "u_ref", "dgus[1]"), (("initial",), "plant", "initial"),
+        (("topology",), None, "topology")])
+    def test_misspelled_key_exits_1(self, path, key, where, tmp_path, capsys):
+        misspelt = {"events": "event", "t_end": "tend", "d_IL": "dIL",
+                    "eps_fast": "eps_fst", "sample_period": "sample_priod",
+                    "u_ref": "u_rf", "plant": "plnt", None: "comm_edge"}
+        d = ring4_dict()
+        node = d
+        for k in path:
+            node = node[k]
+        node[misspelt[key]] = node.pop(key) if key else [[1, 2], [2, 3]]
+        message = f"{where}: unknown key {misspelt[key]!r}"
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [message]
+        write_scenario(d, tmp_path / "misspelt.json")
+        assert main(["validate", str(tmp_path / "misspelt.json")]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -1,9 +1,11 @@
 import json
+import math
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gridtrade as gt
 from gridtrade import _kernels, engine
@@ -28,6 +30,16 @@ class TestUnits:
             parse_quantity("3 furlongs")
         with pytest.raises(ValueError, match="cannot parse"):
             parse_quantity("abc")
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, "1e999 V", "1e308 kV", 10 ** 400])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(ValueError, match="is not finite"):
+            parse_quantity(value)
+
+    def test_bool_refused(self):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_quantity(True)
 
 
 class TestScenarioValidation:
@@ -146,6 +158,139 @@ class TestScenarioValidation:
             Scenario.from_dict(d)
         assert ei.value.errors == [
             f"initial.plant.{key}: expected 4 values, got 3"]
+
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("integrator", "dt", math.nan,
+         "integrator.dt: quantity nan is not finite"),
+        ("integrator", "t_end", math.inf,
+         "integrator.t_end: quantity inf is not finite"),
+        ("price", "l", "-inf", "price.l: cannot parse quantity '-inf'")])
+    def test_non_finite_value_refused(self, section, key, value, message):
+        d = ring4_dict()
+        d[section][key] = value
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [message]
+
+    @pytest.mark.parametrize("section, key", [
+        ("dgus", "R"), ("dgus", "C"), ("lines", "R")])
+    def test_nan_parameter_refused(self, section, key):
+        d = ring4_dict()
+        d[section][1][key] = math.nan
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [
+            f"{section}[2].{key}: quantity nan is not finite"]
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("dgus",), 5, "dgus: expected a JSON list, got int"),
+        (("lines",), {}, "lines: expected a JSON list, got dict"),
+        (("events",), 5, "events: expected a JSON list, got int"),
+        (("weights",), "w", "weights: expected a JSON list, got str"),
+        (("penalties", "rho_V"), 5,
+         "penalties.rho_V: expected a JSON list, got int"),
+        (("penalties", "rho_Il"), "1000",
+         "penalties.rho_Il: expected a JSON list, got str"),
+        (("name",), [1], "name: expected text, got list")])
+    def test_wrong_json_type_refused(self, path, value, message):
+        d = ring4_dict()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert message in ei.value.errors
+
+    def test_missing_fields_and_keys_named(self):
+        d = ring4_dict()
+        del d["dgus"][2]["L"], d["price"]["p_r"]
+        d["weights"][3]["alpha"] = d["weights"][3].pop("alpha_V")
+        d["initial"]["plant"] = {"I": [0] * 4, "V": [0] * 4, "Il": [0] * 4}
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [
+            "dgus[3]: missing field 'L'",
+            "price: missing field 'p_r'",
+            "weights[4]: missing field 'alpha_V'",
+            "weights[4]: unknown key 'alpha'",
+            "initial.plant.I_l: expected 4 values, got 0",
+            "initial.plant: unknown block 'Il'"]
+
+    def test_tiny_sample_period_off_grid(self):
+        d = ring4_dict(output={"sample_period": 1e-308})
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [
+            "t_end 10.0 not on the sample grid (sample_period 1e-308)",
+            "event time 5.0 not on the sample grid"]
+
+    def test_events_frozen(self):
+        scn = ring4()
+        assert scn.events[0] == engine.Event(5.0, 3.0, 3.0)
+        with pytest.raises(FrozenInstanceError):
+            scn.events[0].time = 1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_malformed_tree_gives_scenario_error(self, data):
+        """Renaming, deleting or replacing parts of the reference tree
+        either parses or raises ScenarioError, nothing else."""
+        d = ring4_dict()
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = _draw_path(data, d)
+            if not path:
+                d = data.draw(_JSON_VALUES)
+                continue
+            parent, key = _node(d, path[:-1]), path[-1]
+            action = data.draw(st.sampled_from(["replace", "delete",
+                                                "rename"]))
+            if action == "replace":
+                parent[key] = data.draw(_JSON_VALUES)
+            elif action == "delete" or isinstance(parent, list):
+                del parent[key]
+            else:
+                new = data.draw(st.sampled_from([key[:-1], key + "s"])
+                                | st.text(max_size=6))
+                parent[new] = parent.pop(key)
+        try:
+            scn = Scenario.from_dict(d)
+        except ScenarioError as e:
+            assert e.errors and all(isinstance(m, str) for m in e.errors)
+        else:
+            assert isinstance(scn, Scenario)
+
+
+# Random JSON values: small numbers only, since topology.n sizes arrays.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-1e3, 1e3)
+    | st.sampled_from([math.nan, math.inf, -math.inf, "3 mH", "-20 A",
+                       "1e-5 s", "rk4", "zeros", "equilibrium"])
+    | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8)
+
+
+def _draw_path(data, node):
+    """A path into a JSON tree: one step into the root, and each further
+    step with probability 1/2, so a section is as likely as all its
+    leaves."""
+    path = ()
+    while isinstance(node, (dict, list)) and node and (
+            not path or data.draw(st.booleans())):
+        key = data.draw(st.sampled_from(
+            list(node) if isinstance(node, dict) else range(len(node))))
+        path, node = path + (key,), node[key]
+    return path
+
+
+def _node(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,14 @@ A scenario file is a JSON tree with explicit unit suffixes.  Each section
 is read from the type it builds, whose declaration gives its keys and
 defaults; any other key is refused.  Parsing checks the tree once, time
 grid included (``integrate.grid_errors``), and keeps the game of every
-load era on the frozen :class:`Scenario`.  The closed
-loop (grid + controller) is affine apart from the box penalties, so the
-engine probes the exact system matrix of each load era when that era
-starts and propagates it with the affine RK4 kernel, with RK45, or
-exactly, regime by regime (``pwa``); ``integrate.run_eras`` emits the
-sampled rows for all three.  Only one era's dense operator is alive at a
-time: N² doubles for N = 4n² + 10n states, 11.2 MB at n = 16 and
-51.8 MB at n = 24.  Diagnostics are evaluated on the sampled rows.
+load era on the frozen :class:`Scenario`.  The closed loop (grid +
+controller) is affine apart from the box penalties, so the engine probes
+the exact system matrix of each load era when that era starts and
+propagates it with the affine RK4 kernel or exactly, regime by regime
+(``pwa``); ``integrate.run_eras`` emits the sampled rows for both.  Only
+one era's dense operator is alive at a time: N² doubles for
+N = 4n² + 10n states, 11.2 MB at n = 16 and 51.8 MB at n = 24.
+Diagnostics are evaluated on the sampled rows.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from .controller import (ControllerParams, ControllerState, consensus_errors,
 from .game import (GameDefinition, ObjectiveWeights, PenaltyParams,
                    PriceParams, build_game, check_price_margin,
                    check_monotonicity)
-from .integrate import (IntegratorConfig, Trajectory, grid_errors,
-                        rk45_samples, run_eras)
+from .integrate import IntegratorConfig, Trajectory, grid_errors, run_eras
 from .oracle import lyapunov_diagnostics, reduced_model_rhs, solve_vi
 from .plant import (DguParams, LineParams, PlantParams, PlantState,
                     apply_load_step, plant_rhs)
 from .pwa import PiecewiseAffineFlow
-from .topology import MicrogridTopology
+from .topology import MicrogridTopology, whole_number
 
 
 class ScenarioError(ValueError):
@@ -206,32 +205,39 @@ class Scenario:
             raise ScenarioError(errors)
         name = _json(d.get("name", "scenario"), str, "name", errors)
 
-        tnode = d.get("topology", {})
-        topo = _record(MicrogridTopology, tnode, "topology", errors,
-                       names=[f.name for f in fields(MicrogridTopology)]
-                       + ["comm_edges"])
-        comm_topo = None
-        if topo is not None and (ce := tnode.get("comm_edges")):
-            try:
-                comm_topo = MicrogridTopology(topo.n, ce, [h for h, _ in ce])
-            except (ValueError, TypeError, OverflowError) as e:
-                errors.append(f"topology.comm_edges: {e}")
-
         def records(cls, key):
             return [_record(cls, rec, f"{key}[{i}]", errors) for i, rec
                     in enumerate(_json(d.get(key, []), list, key, errors)
                                  or [], 1)]
 
         dgus, lines = records(DguParams, "dgus"), records(LineParams, "lines")
-        if topo is not None and len(dgus) != topo.n:
-            errors.append(f"expected {topo.n} dgu records, got {len(dgus)}")
-        if topo is not None and len(lines) != topo.m:
-            errors.append(f"expected {topo.m} line records, got {len(lines)}")
+        # counts first: the graph's checks take time and memory in n
+        tnode = d.get("topology", {})
+        try:
+            n, m = whole_number(tnode["n"], "n"), len(tnode["edges"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            n, m = len(dgus), len(lines)    # the topology record says why
+        if len(dgus) != n:
+            errors.append(f"expected {n} dgu records, got {len(dgus)}")
+        if len(lines) != m:
+            errors.append(f"expected {m} line records, got {len(lines)}")
+        topo = comm_topo = None
+        if len(dgus) == n and len(lines) == m:
+            topo = _record(MicrogridTopology, tnode, "topology", errors,
+                           names=[f.name for f in fields(MicrogridTopology)]
+                           + ["comm_edges"])
+        if topo is not None and (ce := tnode.get("comm_edges")):
+            try:
+                comm_topo = MicrogridTopology(topo.n, ce, [h for h, _ in ce])
+            except (ValueError, TypeError, OverflowError) as e:
+                errors.append(f"topology.comm_edges: {e}")
         price = _record(PriceParams, d.get("price", {}), "price", errors)
 
         weights = penalties = None
         wnode = _json(d.get("weights", []), list, "weights", errors) or []
-        if topo is not None and len(wnode) == topo.n:
+        if len(wnode) != n:
+            errors.append("weights: need one record per agent")
+        elif topo is not None:
             cols, managed = {k: [] for k in _WEIGHT_KEYS}, topo.managed_lines
             count = len(errors)
             for i, rec in enumerate(wnode, start=1):
@@ -253,8 +259,6 @@ class Scenario:
                     weights = ObjectiveWeights(**cols)
                 except ValueError as e:
                     errors.append(f"weights: {e}")
-        else:
-            errors.append("weights: need one record per agent")
         count = len(errors)
         pnode = _keys(d.get("penalties", {}), "penalties", errors,
                       _PENALTY_KEYS) or {}
@@ -567,14 +571,10 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
             out = np.empty((n_samples, loop.size))
             ns, _ = loop.run_segment(y, cfg.dt, n_samples * per, per, out)
             return out[:ns], y
-    elif cfg.method == "pwa":
+    else:
         def advance(era, y, t0, n_samples):
             return loop_of(era).flow().propagate(y, n_samples,
                                                  cfg.sample_period, cfg.dt)
-    else:
-        def advance(era, y, t0, n_samples):
-            return rk45_samples(loop_of(era).rhs_fast, y, t0, n_samples, cfg,
-                                None)
     traj = run_eras(y, cfg, times, advance)
     diag = _diagnostics(traj, games, cp, reduced)
     report = _build_report(scenario, traj, diag, reduced)

@@ -1,9 +1,9 @@
 """Deterministic ODE integration with parameter-swap events.
 
-Fixed-step classic RK4 and adaptive Dormand-Prince RK45;
-:func:`grid_errors`, the one check of the time grid and the event times;
-and :func:`run_eras`, the one runner that emits the sampled rows for
-:func:`integrate` and for every method of ``engine.run_scenario``.
+Fixed-step classic RK4; :func:`grid_errors`, the one check of the time
+grid and the event times; and :func:`run_eras`, the one runner that
+emits the sampled rows for :func:`integrate` and for both methods of
+``engine.run_scenario`` (``rk4`` and the exact piecewise-affine ``pwa``).
 Samples and events always land on step boundaries, so sampling never
 perturbs the integration and repeated runs are bit-identical.
 """
@@ -27,15 +27,13 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"          # "rk4" | "rk45" | "pwa"
-    dt: float = 1e-5             # fixed step (rk4) / initial step (rk45, pwa)
+    method: str = "rk4"          # "rk4" | "pwa"
+    dt: float = 1e-5             # rk4 step; pwa's first step after a switch
     t_end: float = 10.0
     sample_period: float = 1e-3
-    rtol: float = 1e-8
-    atol: float = 1e-10
 
     def __post_init__(self):
-        if self.method not in ("rk4", "rk45", "pwa"):
+        if self.method not in ("rk4", "pwa"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.dt <= 0 or self.sample_period <= 0:
             raise ValueError("dt and sample_period must be > 0")
@@ -73,34 +71,6 @@ def rk4_step(rhs, t, y, dt, ctx):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# Dormand-Prince 5(4) tableau
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-
-
-def _rk45_step(rhs, t, y, dt, ctx):
-    k = []
-    for i in range(7):
-        yi = y.copy()
-        for j, a in enumerate(_DP_A[i]):
-            yi += dt * a * k[j]
-        k.append(rhs(t + _DP_C[i] * dt, yi, ctx))
-    y5 = y + dt * sum(b * ki for b, ki in zip(_DP_B5, k))
-    y4 = y + dt * sum(b * ki for b, ki in zip(_DP_B4, k))
-    return y5, y5 - y4
-
-
 def rk4_samples(rhs, y, t0, n_samples, cfg, ctx):
     """``n_samples`` sample periods of fixed-step RK4 from time ``t0``.
 
@@ -113,35 +83,6 @@ def rk4_samples(rhs, y, t0, n_samples, cfg, ctx):
         base = t0 + s * cfg.sample_period
         for k in range(per):
             y = rk4_step(rhs, base + k * cfg.dt, y, cfg.dt, ctx)
-        out[s] = y
-        if not np.isfinite(y).all():
-            return out[:s + 1], y
-    return out, y
-
-
-def rk45_samples(rhs, y, t0, n_samples, cfg, ctx):
-    """``n_samples`` sample periods of adaptive RK45 from time ``t0``.
-
-    The step restarts at ``cfg.dt`` and is cut to land on every sample.
-    Returns (samples, final state); stops after the first non-finite
-    sample.
-    """
-    dt = cfg.dt
-    out = np.empty((n_samples,) + y.shape)
-    for s in range(n_samples):
-        ts_target = t0 + (s + 1) * cfg.sample_period
-        t = t0 + s * cfg.sample_period
-        while t < ts_target - 1e-15 * max(1.0, ts_target):
-            h = min(dt, ts_target - t)
-            y_new, err = _rk45_step(rhs, t, y, h, ctx)
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y),
-                                                     np.abs(y_new))
-            enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            if enorm <= 1.0 or h < 1e-14:
-                y = y_new
-                t += h
-            fac = 0.9 * (enorm ** -0.2) if enorm > 0 else 5.0
-            dt = h * min(5.0, max(0.2, fac))
         out[s] = y
         if not np.isfinite(y).all():
             return out[:s + 1], y
@@ -248,7 +189,6 @@ def integrate(rhs, y0, config: IntegratorConfig, events=(), ctx=None,
     errors = grid_errors(config, [e[0] for e in events])
     if errors:
         raise ValueError("; ".join(errors))
-    samples = rk4_samples if config.method == "rk4" else rk45_samples
     ctxs = [ctx]
 
     def advance(era, y, t0, n_samples):
@@ -256,6 +196,6 @@ def integrate(rhs, y0, config: IntegratorConfig, events=(), ctx=None,
             payload = events[era - 1][1]
             ctxs.append(ctxs[-1] if on_event is None
                         else on_event(ctxs[-1], payload))
-        return samples(rhs, y, t0, n_samples, config, ctxs[era])
+        return rk4_samples(rhs, y, t0, n_samples, config, ctxs[era])
 
     return run_eras(y0, config, [e[0] for e in events], advance)

@@ -37,9 +37,13 @@ class MicrogridTopology:
     managers: tuple
 
     def __init__(self, n, edges, managers):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", tuple((int(h), int(t)) for h, t in edges))
-        object.__setattr__(self, "managers", tuple(int(a) for a in managers))
+        object.__setattr__(self, "n", whole_number(n, "n"))
+        object.__setattr__(self, "edges", tuple(
+            tuple(whole_number(v, f"edge {k}: endpoint") for v in (h, t))
+            for k, (h, t) in enumerate(edges, start=1)))
+        object.__setattr__(self, "managers", tuple(
+            whole_number(a, f"edge {k}: manager")
+            for k, a in enumerate(managers, start=1)))
         self._validate()
 
     @property
@@ -66,10 +70,16 @@ class MicrogridTopology:
                 raise ValueError(
                     f"edge {k}: manager {self.managers[k - 1]} is not an endpoint"
                 )
-        if self.m and not _connected(self.n, self.edges):
+        if not _connected(self.n, self.edges):
             raise ValueError("graph is not connected")
-        if self.n > 1 and self.m == 0:
-            raise ValueError("graph is not connected")
+
+
+def whole_number(value, what):
+    """``int(value)``; a bool or a number with a fraction is refused."""
+    i = int(value)
+    if isinstance(value, bool) or (not isinstance(value, str) and i != value):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return i
 
 
 def _connected(n, edges):

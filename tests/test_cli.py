@@ -101,6 +101,21 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "misspelt.json")]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("method", "rk45", "integrator: unknown method 'rk45'"),
+        ("rtol", 1e-8, "integrator: unknown key 'rtol'"),
+        ("atol", 1e-10, "integrator: unknown key 'atol'")])
+    def test_removed_integrator_input_exits_1(self, key, value, message,
+                                              tmp_path, capsys):
+        d = ring4_dict()
+        d["integrator"][key] = value
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [message]
+        write_scenario(d, tmp_path / "removed.json")
+        assert main(["validate", str(tmp_path / "removed.json")]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_missing_file(self, capsys):

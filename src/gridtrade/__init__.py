@@ -9,7 +9,7 @@ from .game import (ConstraintData, GameDefinition, ObjectiveWeights,
                    PenaltyBoxes, PenaltyParams, PriceParams, build_game,
                    check_price_margin, check_monotonicity, check_penalty_bounds,
                    cost, local_gradient, penalty_subgradient, pseudo_gradient)
-from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
+from .integrate import IntegrationError, IntegratorConfig, Trajectory
 from .oracle import (ClosedLoopEquilibrium, EquilibriumSolution,
                      FeasibleSetProjector, affine_kkt_solve,
                      closed_loop_equilibrium, lyapunov_diagnostics,

@@ -1,8 +1,10 @@
-"""Fixed-step propagation and projection kernels in numpy.
+"""Propagation, probe and projection kernels in numpy.
 
 The closed-loop right-hand side is M y + c plus a piecewise-constant
-penalty correction on a few entries, which keeps the hot loop to four
-BLAS matvecs per RK4 step.  The feasible-set projection of the
+penalty correction on a few entries (:func:`penalty_force`), which keeps
+:func:`rk4_affine`, the package's one RK4, to four BLAS matvecs per
+step.  :func:`affine_probe` reads the matrix and the constant term of an
+affine map off unit-vector probes.  The feasible-set projection of the
 equilibrium oracle alternates an affine projection with a box clip.
 """
 
@@ -11,20 +13,38 @@ from __future__ import annotations
 import numpy as np
 
 
+def penalty_force(v, lo, hi, force):
+    """Penalty correction of the penalized entries ``v``: ``force`` below
+    ``lo``, ``-force`` above ``hi`` and 0 inside the box."""
+    sel = np.where(v < lo, force, 0.0)
+    sel -= np.where(v > hi, force, 0.0)
+    return sel
+
+
+def affine_probe(f, size):
+    """(M, c) with ``f(y) = M y + c`` for an affine ``f`` on vectors of
+    ``size`` entries, read off ``f`` at 0 and at each unit vector."""
+    c = f(np.zeros(size))
+    M = np.empty((c.size, size))
+    e = np.zeros(size)
+    for j in range(size):
+        e[j] = 1.0
+        M[:, j] = f(e) - c
+        e[j] = 0.0
+    return M, c
+
+
 def rk4_affine(M, c, y, psrc, plo, phi, force, dt, steps, sample_every, out):
     """Advance ``steps`` RK4 steps in place, sampling every ``sample_every``.
 
-    Entry ``psrc[k]`` gains ``force[k]`` below ``plo[k]`` and loses it
-    above ``phi[k]``.  Returns (samples_written, finite_flag); a False
+    The right-hand side is ``M y + c`` plus :func:`penalty_force` on the
+    entries ``psrc``.  Returns (samples_written, finite_flag); a False
     flag means the state went non-finite at the last written sample.
     """
     def rhs(yv):
         dy = M @ yv
         dy += c
-        v = yv[psrc]
-        sel = np.where(v < plo, force, 0.0)
-        sel -= np.where(v > phi, force, 0.0)
-        dy[psrc] += sel
+        dy[psrc] += penalty_force(yv[psrc], plo, phi, force)
         return dy
 
     ns = 0

@@ -28,6 +28,8 @@ class ControllerParams:
     def __post_init__(self):
         if self.eps_fast <= 0.0 or self.eps_u <= 0.0:
             raise ValueError("controller time-scale constants must be > 0")
+        if not np.isfinite([self.eps_fast, self.eps_u]).all():
+            raise ValueError("controller time-scale constants must be finite")
 
 
 @dataclass

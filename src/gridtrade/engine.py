@@ -6,10 +6,11 @@ defaults; any other key is refused.  Parsing checks the tree once, time
 grid included (``integrate.grid_errors``), and keeps the game of every
 load era on the frozen :class:`Scenario`.  The closed loop (grid +
 controller) is affine apart from the box penalties, so the engine probes
-the exact system matrix of each load era when that era starts and
-propagates it with the affine RK4 kernel or exactly, regime by regime
-(``pwa``); ``integrate.run_eras`` emits the sampled rows for both.  Only
-one era's dense operator is alive at a time: N² doubles for
+the exact system matrix of each load era when that era starts
+(``_kernels.affine_probe``) and propagates it with
+``_kernels.rk4_affine``, the package's one RK4, or exactly, regime by
+regime (``pwa``); ``integrate.run_eras`` emits the sampled rows for
+both.  Only one era's dense operator is alive at a time: N² doubles for
 N = 4n² + 10n states, 11.2 MB at n = 16 and 51.8 MB at n = 24.
 Diagnostics are evaluated on the sampled rows.
 """
@@ -378,7 +379,7 @@ class ClosedLoop:
         return _unpack(y, self.g, self.reduced)
 
     # -- reference (readable) dynamics ------------------------------------
-    def rhs_reference(self, t, y, ctx=None):
+    def rhs_reference(self, y):
         plant, cs = self.unpack(y)
         d_plant = plant_rhs(plant, cs.u, self.g.plant, self.g.topo)
         if self.reduced:
@@ -390,30 +391,20 @@ class ClosedLoop:
         return np.concatenate([d_plant.to_vector(), d_vec])
 
     # -- affine + penalty representation -----------------------------------
-    def _penalty_term(self, y):
-        dy = np.zeros(self.size)
-        v = y[self.psrc]
-        sel = np.where(v < self.plo, self.force, 0.0)
-        sel -= np.where(v > self.phi, self.force, 0.0)
-        dy[self.psrc] += sel
-        return dy
-
     def _assemble(self):
-        c = self.rhs_reference(0.0, np.zeros(self.size)) \
-            - self._penalty_term(np.zeros(self.size))
-        M = np.empty((self.size, self.size))
-        e = np.zeros(self.size)
-        for j in range(self.size):
-            e[j] = 1.0
-            M[:, j] = (self.rhs_reference(0.0, e) - self._penalty_term(e)) - c
-            e[j] = 0.0
-        self.M = np.ascontiguousarray(M)
-        self.c = c
+        def smooth(y):
+            dy = self.rhs_reference(y)
+            dy[self.psrc] -= _kernels.penalty_force(
+                y[self.psrc], self.plo, self.phi, self.force)
+            return dy
 
-    def rhs_fast(self, t, y, ctx=None):
+        self.M, self.c = _kernels.affine_probe(smooth, self.size)
+
+    def rhs_fast(self, y):
         dy = self.M @ y
         dy += self.c
-        dy += self._penalty_term(y)
+        dy[self.psrc] += _kernels.penalty_force(y[self.psrc], self.plo,
+                                                self.phi, self.force)
         return dy
 
     def flow(self) -> PiecewiseAffineFlow:
@@ -566,13 +557,13 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
     if cfg.method == "rk4":
         per = round(cfg.sample_period / cfg.dt)
 
-        def advance(era, y, t0, n_samples):
+        def advance(era, y, n_samples):
             loop = loop_of(era)
             out = np.empty((n_samples, loop.size))
             ns, _ = loop.run_segment(y, cfg.dt, n_samples * per, per, out)
             return out[:ns], y
     else:
-        def advance(era, y, t0, n_samples):
+        def advance(era, y, n_samples):
             return loop_of(era).flow().propagate(y, n_samples,
                                                  cfg.sample_period, cfg.dt)
     traj = run_eras(y, cfg, times, advance)

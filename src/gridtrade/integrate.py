@@ -1,9 +1,10 @@
-"""Deterministic ODE integration with parameter-swap events.
+"""The time grid of a sampled run with parameter-swap events.
 
-Fixed-step classic RK4; :func:`grid_errors`, the one check of the time
-grid and the event times; and :func:`run_eras`, the one runner that
-emits the sampled rows for :func:`integrate` and for both methods of
-``engine.run_scenario`` (``rk4`` and the exact piecewise-affine ``pwa``).
+:class:`IntegratorConfig` names the method and the grid;
+:func:`grid_errors` is the one check of the time grid and the event
+times; :func:`run_eras` is the one runner that emits the sampled rows
+for both methods of ``engine.run_scenario`` (``rk4``, stepped by
+``_kernels.rk4_affine``, and the exact piecewise-affine ``pwa``).
 Samples and events always land on step boundaries, so sampling never
 perturbs the integration and repeated runs are bit-identical.
 """
@@ -39,6 +40,8 @@ class IntegratorConfig:
             raise ValueError("dt and sample_period must be > 0")
         if self.t_end < 0:
             raise ValueError("t_end must be >= 0")
+        if not np.isfinite([self.dt, self.sample_period, self.t_end]).all():
+            raise ValueError("dt, sample_period and t_end must be finite")
 
 
 @dataclass
@@ -61,32 +64,6 @@ class Trajectory:
 def _is_multiple(a, b, rel=1e-9):
     q = a / b       # inf when b is tiny: then a is no multiple of b
     return np.isfinite(q) and abs(a - round(q) * b) <= rel * max(abs(a), b)
-
-
-def rk4_step(rhs, t, y, dt, ctx):
-    k1 = rhs(t, y, ctx)
-    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1, ctx)
-    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2, ctx)
-    k4 = rhs(t + dt, y + dt * k3, ctx)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_samples(rhs, y, t0, n_samples, cfg, ctx):
-    """``n_samples`` sample periods of fixed-step RK4 from time ``t0``.
-
-    Returns (samples, final state); stops after the first non-finite
-    sample.
-    """
-    per = round(cfg.sample_period / cfg.dt)
-    out = np.empty((n_samples,) + y.shape)
-    for s in range(n_samples):
-        base = t0 + s * cfg.sample_period
-        for k in range(per):
-            y = rk4_step(rhs, base + k * cfg.dt, y, cfg.dt, ctx)
-        out[s] = y
-        if not np.isfinite(y).all():
-            return out[:s + 1], y
-    return out, y
 
 
 def grid_errors(cfg: IntegratorConfig, event_times, dt_limit=np.inf):
@@ -122,11 +99,11 @@ def run_eras(y0, cfg: IntegratorConfig, event_times, advance):
     """Sampled run over the eras that ``event_times`` cut [0, t_end] into.
 
     The package's one time-grid runner, for a grid that
-    :func:`grid_errors` accepts.  ``advance(era, y, t0, n_samples)``
-    propagates one era from time ``t0`` and returns (samples, final
-    state), ``samples[s]`` being the state at
-    ``t0 + (s + 1) * sample_period``; it may stop after the first
-    non-finite sample.  Each event adds a row with the pre-event state
+    :func:`grid_errors` accepts.  ``advance(era, y, n_samples)``
+    propagates the autonomous flow of one era from the era's start and
+    returns (samples, final state), ``samples[s]`` being the state
+    ``s + 1`` sample periods after that start; it may stop after the
+    first non-finite sample.  Each event adds a row with the pre-event state
     tagged with the new era.  A non-finite sample, or an
     :class:`IntegrationError` from ``advance``, raises
     :class:`IntegrationError` carrying the rows up to the last good one.
@@ -147,7 +124,7 @@ def run_eras(y0, cfg: IntegratorConfig, event_times, advance):
     t0 = 0.0
     for era, t1 in enumerate(boundaries):
         try:
-            out, y = advance(era, y, t0, round((t1 - t0) / sp))
+            out, y = advance(era, y, round((t1 - t0) / sp))
         except IntegrationError as err:
             traj = trajectory()
             raise IntegrationError(str(err), traj.t[-1], traj.y[-1],
@@ -169,33 +146,3 @@ def run_eras(y0, cfg: IntegratorConfig, event_times, advance):
             eras.append([era + 1])
         t0 = t1
     return trajectory()
-
-
-def integrate(rhs, y0, config: IntegratorConfig, events=(), ctx=None,
-              on_event=None):
-    """Integrate ``dy/dt = rhs(t, y, ctx)`` with sampled output.
-
-    ``events`` is a sequence of (time, payload); at each event the
-    context is replaced by ``on_event(ctx, payload)`` with the state left
-    continuous.  Raises ``ValueError`` with the messages of
-    :func:`grid_errors` before integrating when the grids are refused.
-    Returns a :class:`Trajectory` whose rows are step boundaries at
-    multiples of ``sample_period`` (plus duplicated event rows).
-    """
-    if config.method == "pwa":
-        raise ValueError("method 'pwa' needs the closed loop's piecewise-"
-                         "affine structure; run it through run_scenario")
-    events = list(events)
-    errors = grid_errors(config, [e[0] for e in events])
-    if errors:
-        raise ValueError("; ".join(errors))
-    ctxs = [ctx]
-
-    def advance(era, y, t0, n_samples):
-        if era == len(ctxs):
-            payload = events[era - 1][1]
-            ctxs.append(ctxs[-1] if on_event is None
-                        else on_event(ctxs[-1], payload))
-        return rk4_samples(rhs, y, t0, n_samples, config, ctxs[era])
-
-    return run_eras(y0, config, [e[0] for e in events], advance)

@@ -169,23 +169,20 @@ def _pseudo_gradient_z(g: GameDefinition, zl: _ZLayout):
 def _game_map(g: GameDefinition, zl: _ZLayout):
     """The affine weighted game map as ``z -> G z + g0`` (no penalties).
 
-    Decision-block rows are r_i times unit-vector probes of the smooth
-    local gradient; the voltage-dynamics rows are r_i a_u (u_i - u_ref).
+    Decision-block rows are r_i times the smooth local gradient, probed
+    with :func:`_kernels.affine_probe`; the voltage-dynamics rows are
+    r_i a_u (u_i - u_ref).
     """
     lay = g.layout
     w = g.weights
+    Gx, gx = _kernels.affine_probe(
+        lambda x: local_gradient(g, x, np.full(g.n, x[lay.ix_I].sum()),
+                                 with_penalty=False), lay.size)
+    r_row = w.r[lay.agent_of_pos]
     G = np.zeros((zl.size, zl.size))
     g0 = np.zeros(zl.size)
-    agg0 = local_gradient(g, np.zeros(lay.size), np.zeros(g.n),
-                          with_penalty=False)
-    e = np.zeros(lay.size)
-    for j in range(lay.size):
-        e[j] = 1.0
-        col = local_gradient(g, e, np.full(g.n, e[lay.ix_I].sum()),
-                             with_penalty=False) - agg0
-        G[zl.z_of_x, zl.z_of_x[j]] = w.r[lay.agent_of_pos] * col
-        e[j] = 0.0
-    g0[zl.z_of_x] = w.r[lay.agent_of_pos] * agg0
+    G[np.ix_(zl.z_of_x, zl.z_of_x)] = r_row[:, None] * Gx
+    g0[zl.z_of_x] = r_row * gx
     G[zl.z_of_u, zl.z_of_u] = w.r * w.alpha_u
     g0[zl.z_of_u] = -w.r * w.alpha_u * g.plant.u_ref
     return G, g0
@@ -217,8 +214,7 @@ def solve_vi(g: GameDefinition) -> EquilibriumSolution:
 
 
 def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
-                         max_iter: int = 50000, recover: bool = True,
-                         return_history: bool = False
+                         max_iter: int = 50000, return_history: bool = False
                          ) -> EquilibriumSolution:
     """Extragradient solution of the game's variational inequality:
     :func:`solve_vi`'s fallback and the independent cross-check of its
@@ -230,8 +226,8 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
     residual ``|z - P(z - tau F(z))|_inf`` drops below ``tol`` (or after
     ``max_iter`` iterations), then refines the final face with
     :func:`_active_set` (keeping the raw iterate when that finds no
-    consistent face).  Raises RuntimeError when the feasible
-    set is empty; deterministic.
+    consistent face) and recovers its multipliers.  Raises RuntimeError
+    when the feasible set is empty; deterministic.
     """
     zl, M, c = _affine_rows(g)
     lo, hi = _box_bounds(g, zl)
@@ -265,11 +261,10 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
     sol = EquilibriumSolution(u, x, np.zeros(g.n + g.m), np.zeros(g.n),
                               it, residual, converged, "extragradient",
                               history=history)
-    if recover:
-        rec = recover_multipliers(sol, g)
-        sol.lambda_star = rec.lambda_shared
-        sol.gamma_star = rec.gamma
-        sol.recovery = rec
+    rec = recover_multipliers(sol, g)
+    sol.lambda_star = rec.lambda_shared
+    sol.gamma_star = rec.gamma
+    sol.recovery = rec
     return sol
 
 

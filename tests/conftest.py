@@ -1,7 +1,11 @@
 import pytest
 from dataclasses import replace
 
+import numpy as np
+
 import gridtrade as gt
+from gridtrade import _kernels
+from gridtrade.integrate import grid_errors, run_eras
 from gridtrade.scenarios import ring4, ring4_dict
 
 
@@ -122,3 +126,27 @@ def make_pair_game(V_ref=0.0, I_L=(2.0, 3.0), Z_L=(1.0, 1.0),
 @pytest.fixture
 def pair_game():
     return make_pair_game()
+
+
+def rk4_run(M, c, y0, cfg, events=()):
+    """Sampled rk4 run of ``dy/dt = M y + c`` made as ``run_scenario``
+    makes one: ``integrate.run_eras`` driving ``_kernels.rk4_affine``,
+    here with no penalized entry.  ``events`` holds (time, c) pairs, each
+    replacing the constant term from its time on.  A grid that
+    ``grid_errors`` refuses raises ValueError with its messages."""
+    times = [t for t, _ in events]
+    errors = grid_errors(cfg, times)
+    if errors:
+        raise ValueError("; ".join(errors))
+    M = np.asarray(M, dtype=float)
+    consts = [np.asarray(k, dtype=float) for k in [c] + [e for _, e in events]]
+    psrc, none = np.zeros(0, dtype=np.int64), np.zeros(0)
+    per = round(cfg.sample_period / cfg.dt)
+
+    def advance(era, y, n_samples):
+        out = np.empty((n_samples, y.size))
+        ns, _ = _kernels.rk4_affine(M, consts[era], y, psrc, none, none, none,
+                                    cfg.dt, n_samples * per, per, out)
+        return out[:ns], y
+
+    return run_eras(y0, cfg, times, advance)

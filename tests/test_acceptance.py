@@ -45,8 +45,10 @@ import gridtrade as gt
 from gridtrade.engine import ClosedLoop, Scenario, run_scenario
 from gridtrade.game import cost, pseudo_gradient, subgradient_selection, \
     penalty_subgradient
-from gridtrade.integrate import IntegratorConfig, integrate
+from gridtrade.integrate import IntegratorConfig
 from gridtrade.scenarios import ring4_dict
+
+from conftest import rk4_run
 
 KKT_THR = 1e-3
 
@@ -273,7 +275,7 @@ class TestAcceptance:
         for dt in (1e-2, 5e-3, 2.5e-3):
             cfg = IntegratorConfig(method="rk4", dt=dt, t_end=1.0,
                                    sample_period=1.0)
-            traj = integrate(lambda t, y, ctx: -y, np.array([1.0]), cfg)
+            traj = rk4_run([[-1.0]], [0.0], [1.0], cfg)     # dy/dt = -y
             errors.append(abs(traj.y[-1, 0] - np.exp(-1.0)))
         r1, r2 = errors[0] / errors[1], errors[1] / errors[2]
         ok = 8.0 <= r1 <= 32.0 and 8.0 <= r2 <= 32.0

@@ -146,7 +146,12 @@ class TestSimulate:
     @pytest.mark.parametrize("flag, value, message", [
         ("--dt", "-1", "dt and sample_period must be > 0"),
         ("--t-end", "-1", "t_end must be >= 0"),
-        ("--eps", "0", "controller time-scale constants must be > 0")])
+        ("--eps", "0", "controller time-scale constants must be > 0"),
+        ("--eps", "inf", "controller time-scale constants must be finite"),
+        ("--eps", "1e400", "controller time-scale constants must be finite"),
+        ("--eps", "nan", "controller time-scale constants must be finite"),
+        ("--dt", "nan", "dt, sample_period and t_end must be finite"),
+        ("--t-end", "inf", "dt, sample_period and t_end must be finite")])
     def test_refused_override_exits_1(self, short_scenario, tmp_path, capsys,
                                       command, flag, value, message):
         rc = main([command, short_scenario, "--out", str(tmp_path / "r"),

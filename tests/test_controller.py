@@ -4,9 +4,10 @@ import pytest
 import gridtrade as gt
 from gridtrade import ControllerParams, ControllerState, consensus_errors, \
     controller_rhs, fast_equilibrium, kkt_residual
+from gridtrade._kernels import affine_probe
 from gridtrade.topology import laplacian
 
-from conftest import make_pair_game
+from conftest import make_pair_game, rk4_run
 
 CP = ControllerParams(eps_fast=0.01, eps_u=0.1)
 
@@ -116,7 +117,7 @@ class TestFastEquilibrium:
         ups_star, nu_star = fast_equilibrium(Ihat, topo)
         eps = CP.eps_fast
 
-        def rhs(t, y, ctx):
+        def rhs(y):
             ups, nu = y[:4], y[4:]
             d_ups = (-ups - Lap @ ups - Lap @ nu + 4 * Ihat) / eps
             d_nu = (Lap @ ups) / eps
@@ -127,7 +128,7 @@ class TestFastEquilibrium:
         y0 = np.concatenate([rng.normal(scale=20, size=4), nu0])
         cfg = gt.IntegratorConfig(method="rk4", dt=1e-5,
                                   t_end=50 * eps, sample_period=50 * eps)
-        traj = gt.integrate(rhs, y0, cfg)
+        traj = rk4_run(*affine_probe(rhs, 8), y0, cfg)
         err = np.abs(traj.y[-1] - np.concatenate([ups_star, nu_star])).max()
         assert err < 1e-6
 
@@ -218,3 +219,10 @@ class TestControllerParams:
             ControllerParams(eps_fast=0.0)
         with pytest.raises(ValueError):
             ControllerParams(eps_u=-1.0)
+
+    @pytest.mark.parametrize("field", ["eps_fast", "eps_u"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_refused(self, field, value):
+        with pytest.raises(ValueError, match="controller time-scale "
+                                             "constants must be finite"):
+            ControllerParams(**{field: value})

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import FrozenInstanceError, replace
 
@@ -13,6 +16,8 @@ from gridtrade.engine import (ClosedLoop, ScenarioError, Scenario, csv_header,
                               parse_quantity, run_scenario)
 from gridtrade.controller import controller_rhs
 from gridtrade.scenarios import ring4, ring4_dict
+
+from conftest import rk4_run
 
 
 class TestUnits:
@@ -333,8 +338,8 @@ class TestClosedLoopAssembly:
         rng = np.random.default_rng(33)
         for _ in range(8):
             y = rng.normal(scale=300, size=loop.size)
-            fast = loop.rhs_fast(0.0, y)
-            ref = loop.rhs_reference(0.0, y)
+            fast = loop.rhs_fast(y)
+            ref = loop.rhs_reference(y)
             assert np.allclose(fast, ref, rtol=1e-12,
                                atol=1e-9 * max(1, np.abs(ref).max()))
 
@@ -344,8 +349,8 @@ class TestClosedLoopAssembly:
         rng = np.random.default_rng(34)
         for _ in range(5):
             y = rng.normal(scale=300, size=loop.size)
-            fast = loop.rhs_fast(0.0, y)
-            ref = loop.rhs_reference(0.0, y)
+            fast = loop.rhs_fast(y)
+            ref = loop.rhs_reference(y)
             assert np.allclose(fast, ref, rtol=1e-12,
                                atol=1e-9 * max(1, np.abs(ref).max()))
 
@@ -533,14 +538,14 @@ class TestPlantTracksEquilibrium:
         u_star = ref_solution.u_star
         eq = gt.plant_equilibrium(u_star, p, topo)
 
-        def rhs(t, y, ctx):
+        def rhs(y):
             state = gt.PlantState.from_vector(y, 4, 4)
             return gt.plant_rhs(state, u_star, p, topo).to_vector()
 
         y0 = eq.to_vector() + 0.1
         cfg = gt.IntegratorConfig(method="rk4", dt=2e-5, t_end=1.0,
                                   sample_period=0.5)
-        traj = gt.integrate(rhs, y0, cfg)
+        traj = rk4_run(*_kernels.affine_probe(rhs, y0.size), y0, cfg)
         assert np.abs(traj.y[-1] - eq.to_vector()).max() < 1e-6
 
 
@@ -591,12 +596,27 @@ class TestRuntimeFailure:
 
 class TestShippedScenarioFile:
     def test_matches_builder(self):
-        import os
-
         path = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                             "ring4.json")
         with open(path) as f:
             assert json.load(f) == ring4_dict()
+
+
+class TestImportCost:
+    def test_parse_leaves_scipy_unloaded(self):
+        """Importing the package and parsing ring4 load no scipy module;
+        that is the set-up the benchmark's ``setup_s`` times."""
+        src = os.path.dirname(os.path.dirname(gt.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, gridtrade\n"
+                "from gridtrade.scenarios import ring4_dict\n"
+                "gridtrade.Scenario.from_dict(ring4_dict())\n"
+                "print(sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
 
 class TestReducedRun:

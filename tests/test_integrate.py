@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 
 from gridtrade import (IntegrationError, IntegratorConfig, Scenario,
-                       ScenarioError, integrate, run_scenario)
+                       ScenarioError, run_scenario)
+from gridtrade.integrate import grid_errors
 from gridtrade.scenarios import ring4_dict
 
+from conftest import rk4_run
 
-def exp_decay(t, y, ctx):
-    return -y
+DECAY = [[-1.0]], [0.0]      # dy/dt = -y
 
 
 class TestRk4:
     def test_exponential_accuracy(self):
         cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=1.0,
                                sample_period=1.0)
-        traj = integrate(exp_decay, np.array([1.0]), cfg)
+        traj = rk4_run(*DECAY, [1.0], cfg)
         assert abs(traj.y[-1, 0] - np.exp(-1.0)) < 1e-9
 
     def test_fourth_order_scaling(self):
@@ -22,7 +23,7 @@ class TestRk4:
         for dt in (1e-2, 5e-3, 2.5e-3):
             cfg = IntegratorConfig(method="rk4", dt=dt, t_end=1.0,
                                    sample_period=1.0)
-            traj = integrate(exp_decay, np.array([1.0]), cfg)
+            traj = rk4_run(*DECAY, [1.0], cfg)
             errors.append(abs(traj.y[-1, 0] - np.exp(-1.0)))
         r1 = errors[0] / errors[1]
         r2 = errors[1] / errors[2]
@@ -32,34 +33,15 @@ class TestRk4:
     def test_samples_on_boundaries(self):
         cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=0.5,
                                sample_period=0.1)
-        traj = integrate(exp_decay, np.array([1.0]), cfg)
+        traj = rk4_run(*DECAY, [1.0], cfg)
         assert np.allclose(traj.t, np.arange(6) * 0.1, atol=1e-12)
-
-    def test_time_argument_advances(self):
-        seen = []
-
-        def rhs(t, y, ctx):
-            seen.append(t)
-            return np.zeros_like(y)
-
-        cfg = IntegratorConfig(method="rk4", dt=0.25, t_end=0.5,
-                               sample_period=0.25)
-        integrate(rhs, np.array([0.0]), cfg)
-        # stages at t, t+dt/2 (twice), t+dt for each step
-        assert seen[0] == 0.0 and seen[3] == 0.25
-        assert seen[4] == 0.25 and seen[-1] == 0.5
 
 
 class TestEvents:
     def test_parameter_swap_and_duplicate_row(self):
-        def rhs(t, y, ctx):
-            return np.array([ctx])
-
         cfg = IntegratorConfig(method="rk4", dt=0.05, t_end=1.0,
                                sample_period=0.1)
-        traj = integrate(rhs, np.array([0.0]), cfg,
-                         events=[(0.5, +1.0)],
-                         ctx=-1.0, on_event=lambda ctx, pay: pay)
+        traj = rk4_run([[0.0]], [-1.0], [0.0], cfg, events=[(0.5, [1.0])])
         at_event = np.where(np.isclose(traj.t, 0.5))[0]
         assert len(at_event) == 2  # pre- and post-swap rows
         k0, k1 = at_event
@@ -71,27 +53,25 @@ class TestEvents:
     def test_event_validation(self):
         cfg = IntegratorConfig(method="rk4", dt=0.1, t_end=1.0,
                                sample_period=0.1)
-        with pytest.raises(ValueError, match="sample grid"):
-            integrate(exp_decay, np.ones(1), cfg, events=[(0.55, None)])
-        with pytest.raises(ValueError, match="increasing"):
-            integrate(exp_decay, np.ones(1), cfg,
-                      events=[(0.5, None), (0.5, None)])
-        with pytest.raises(ValueError, match="lie in"):
-            integrate(exp_decay, np.ones(1), cfg, events=[(2.0, None)])
+        assert grid_errors(cfg, [0.55]) == [
+            "event time 0.55 not on the sample grid"]
+        assert grid_errors(cfg, [0.5, 0.5]) == [
+            "event times must be strictly increasing"]
+        assert grid_errors(cfg, [2.0]) == [
+            "event times must lie in (0, t_end]"]
 
     @pytest.mark.parametrize("method", ["rk4"])
     def test_t_end_off_sample_grid(self, method):
         cfg = IntegratorConfig(method=method, dt=0.01, t_end=1.06,
                                sample_period=0.1)
-        with pytest.raises(ValueError, match="t_end 1.06 not on the sample "
-                                             "grid"):
-            integrate(exp_decay, np.ones(1), cfg)
+        assert grid_errors(cfg, []) == [
+            "t_end 1.06 not on the sample grid (sample_period 0.1)"]
 
     def test_step_grid_validation(self):
         cfg = IntegratorConfig(method="rk4", dt=0.3, t_end=1.0,
                                sample_period=1.0)
-        with pytest.raises(ValueError, match="integer multiple"):
-            integrate(exp_decay, np.ones(1), cfg)
+        assert grid_errors(cfg, []) == [
+            "sample_period must be an integer multiple of dt"]
 
 
 class TestConfig:
@@ -99,16 +79,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown method 'rk45'"):
             IntegratorConfig(method="rk45")
 
+    @pytest.mark.parametrize("field", ["dt", "t_end", "sample_period"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_refused(self, field, value):
+        with pytest.raises(ValueError, match="dt, sample_period and t_end "
+                                             "must be finite"):
+            IntegratorConfig(**{field: value})
+
 
 class TestNonFinite:
     def test_abort_with_last_good_sample(self):
-        def blow_up(t, y, ctx):
-            return y * y
-
         cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=5.0,
                                sample_period=0.05)
         with pytest.raises(IntegrationError) as ei:
-            integrate(blow_up, np.array([1.0]), cfg)
+            rk4_run([[1e3]], [0.0], [1.0], cfg)     # grows 644x per step
         err = ei.value
         assert err.t_last is not None
         assert np.isfinite(err.y_last).all()
@@ -117,32 +101,30 @@ class TestNonFinite:
     def test_t_end_zero(self):
         cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=0.0,
                                sample_period=0.1)
-        traj = integrate(exp_decay, np.array([2.0]), cfg)
+        traj = rk4_run(*DECAY, [2.0], cfg)
         assert traj.n_samples == 1
         assert traj.t[0] == 0.0
 
 
 class TestDeterminism:
     def test_bitwise_repeatability(self):
-        def rhs(t, y, ctx):
-            return np.sin(y) - 0.3 * y
-
+        M, c = [[-0.3, 1.0], [-1.0, -0.3]], [0.1, -0.2]
         cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=0.2,
                                sample_period=0.02)
-        a = integrate(rhs, np.array([0.7, -0.2]), cfg)
-        b = integrate(rhs, np.array([0.7, -0.2]), cfg)
+        a = rk4_run(M, c, [0.7, -0.2], cfg)
+        b = rk4_run(M, c, [0.7, -0.2], cfg)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.t, b.t)
 
 
 def _one_event_run(method, event_time):
-    """Rows of a 4 ms run on a 1 ms sample grid with one event: the
-    generic ``integrate`` or one of ``run_scenario``'s methods on ring4."""
-    if method == "integrate":
+    """Rows of a 4 ms run on a 1 ms sample grid with one event:
+    ``rk4_affine`` on dy/dt = -y or one of ``run_scenario``'s methods on
+    ring4."""
+    if method == "rk4_affine":
         cfg = IntegratorConfig(method="rk4", dt=1e-5, t_end=0.004,
                                sample_period=0.001)
-        return integrate(exp_decay, np.ones(1), cfg,
-                         events=[(event_time, None)])
+        return rk4_run(*DECAY, [1.0], cfg, events=[(event_time, [0.0])])
     scn = Scenario.from_dict(ring4_dict(
         integrator={"method": method, "dt": 1e-5, "t_end": 0.004},
         events=[{"time": event_time, "d_IL": 1.0}],
@@ -153,11 +135,12 @@ def _one_event_run(method, event_time):
 
 
 class TestOneRunner:
-    """``integrate`` and every ``run_scenario`` method share one runner."""
+    """A bare ``rk4_affine`` run and every ``run_scenario`` method share
+    one runner."""
 
-    @pytest.mark.parametrize("method", ["integrate", "rk4", "pwa"])
+    @pytest.mark.parametrize("method", ["rk4_affine", "rk4", "pwa"])
     def test_same_rows_and_grid_errors(self, method):
-        ref = _one_event_run("integrate", 0.002)
+        ref = _one_event_run("rk4_affine", 0.002)
         assert ref.t == pytest.approx([0.0, 1e-3, 2e-3, 2e-3, 3e-3, 4e-3],
                                       abs=1e-15)
         traj = _one_event_run(method, 0.002)

@@ -137,8 +137,7 @@ class TestSolveVi:
         assert a.iterations == b.iterations
 
     def test_iteration_budget_flag(self, ref_game):
-        sol = _solve_extragradient(ref_game, tol=1e-300, max_iter=5,
-                                   recover=False)
+        sol = _solve_extragradient(ref_game, tol=1e-300, max_iter=5)
         assert not sol.converged
         assert sol.iterations == 5
         assert np.isfinite(sol.u_star).all()
@@ -412,7 +411,7 @@ def assert_filippov_equilibrium(g, cp):
     rest = np.ones(y.size, dtype=bool)
     rest[rows] = False
     tol = 1e-9 * np.abs(y).max()
-    assert np.abs(loop.rhs_fast(0.0, y)[rest]).max() <= tol
+    assert np.abs(loop.rhs_fast(y)[rest]).max() <= tol
     upper = np.array([r == "upper-sliding" for r in eq.regimes])[sliding]
     held = np.where(upper, 1.0, -1.0) * (loop.M[rows] @ y + loop.c[rows])
     cap = loop.force[sliding]

@@ -154,8 +154,3 @@ class TestGuards:
                             "t_end": "0.01 s"},
                 events=[{"time": 0.0015, "d_IL": 1.0}],
                 initial={"plant": "zeros", "controller": "zeros"}))
-
-    def test_generic_integrate_refuses_pwa(self):
-        cfg = gt.IntegratorConfig(method="pwa", t_end=1.0)
-        with pytest.raises(ValueError, match="closed loop"):
-            gt.integrate(lambda t, y, ctx: -y, np.array([1.0]), cfg)

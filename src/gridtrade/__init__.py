@@ -11,9 +11,9 @@ from .game import (ConstraintData, GameDefinition, ObjectiveWeights,
                    cost, local_gradient, penalty_subgradient, pseudo_gradient)
 from .integrate import IntegrationError, IntegratorConfig, Trajectory
 from .oracle import (ClosedLoopEquilibrium, EquilibriumSolution,
-                     FeasibleSetProjector, affine_kkt_solve,
-                     closed_loop_equilibrium, lyapunov_diagnostics,
-                     recover_multipliers, reduced_model_rhs, solve_vi)
+                     FeasibleSetProjector, closed_loop_equilibrium,
+                     lyapunov_diagnostics, recover_multipliers,
+                     reduced_model_rhs, solve_vi)
 from .plant import (DguParams, LineParams, PlantParams, PlantState,
                     SingularSystemError, apply_load_step, plant_equilibrium,
                     plant_rhs)

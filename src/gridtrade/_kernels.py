@@ -1,11 +1,14 @@
 """Propagation, probe and projection kernels in numpy.
 
 The closed-loop right-hand side is M y + c plus a piecewise-constant
-penalty correction on a few entries (:func:`penalty_force`), which keeps
-:func:`rk4_affine`, the package's one RK4, to four BLAS matvecs per
-step.  :func:`affine_probe` reads the matrix and the constant term of an
-affine map off unit-vector probes.  The feasible-set projection of the
-equilibrium oracle alternates an affine projection with a box clip.
+penalty correction on a few entries (:func:`penalty_force`, the one
+penalty rule outside :mod:`pwa`, which ``game.local_gradient`` also
+applies).  :func:`affine_rhs` writes that right-hand side once; it is
+``ClosedLoop.rhs_fast`` and what :func:`rk4_affine`, the package's one
+RK4, steps with four BLAS matvecs per step.  :func:`affine_probe` reads
+the matrix and the constant term of an affine map off unit-vector
+probes.  The feasible-set projection of the equilibrium oracle
+alternates an affine projection with a box clip.
 """
 
 from __future__ import annotations
@@ -34,31 +37,39 @@ def affine_probe(f, size):
     return M, c
 
 
-def rk4_affine(M, c, y, psrc, plo, phi, force, dt, steps, sample_every, out):
-    """Advance ``steps`` RK4 steps in place, sampling every ``sample_every``.
-
-    The right-hand side is ``M y + c`` plus :func:`penalty_force` on the
-    entries ``psrc``.  Returns (samples_written, finite_flag); a False
-    flag means the state went non-finite at the last written sample.
-    """
-    def rhs(yv):
-        dy = M @ yv
+def affine_rhs(M, c, psrc, plo, phi, force):
+    """The right-hand side ``y -> M y + c`` plus :func:`penalty_force` on
+    the entries ``psrc``."""
+    def rhs(y):
+        dy = M @ y
         dy += c
-        dy[psrc] += penalty_force(yv[psrc], plo, phi, force)
+        dy[psrc] += penalty_force(y[psrc], plo, phi, force)
         return dy
+    return rhs
 
+
+def rk4_affine(M, c, y, psrc, plo, phi, force, dt, steps, sample_every, out):
+    """Advance ``steps`` RK4 steps of :func:`affine_rhs` in place,
+    sampling every ``sample_every``.
+
+    Returns (samples_written, finite_flag); a False flag means the state
+    went non-finite at the last written sample, which the caller reports,
+    so numpy's overflow warnings on the way there are silenced.
+    """
+    rhs = affine_rhs(M, c, psrc, plo, phi, force)
     ns = 0
-    for s in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if sample_every > 0 and (s + 1) % sample_every == 0:
-            out[ns] = y
-            ns += 1
-            if not np.isfinite(y).all():
-                return ns, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(steps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if sample_every > 0 and (s + 1) % sample_every == 0:
+                out[ns] = y
+                ns += 1
+                if not np.isfinite(y).all():
+                    return ns, False
     return ns, True
 
 

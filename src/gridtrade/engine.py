@@ -399,13 +399,9 @@ class ClosedLoop:
             return dy
 
         self.M, self.c = _kernels.affine_probe(smooth, self.size)
-
-    def rhs_fast(self, y):
-        dy = self.M @ y
-        dy += self.c
-        dy[self.psrc] += _kernels.penalty_force(y[self.psrc], self.plo,
-                                                self.phi, self.force)
-        return dy
+        # the right-hand side rk4_affine steps: M y + c plus the penalties
+        self.rhs_fast = _kernels.affine_rhs(self.M, self.c, self.psrc,
+                                            self.plo, self.phi, self.force)
 
     def flow(self) -> PiecewiseAffineFlow:
         """Exact regime-aware propagator of this loop (``pwa`` method)."""

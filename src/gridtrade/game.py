@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import penalty_force
 from .plant import PlantParams
 from .topology import AgentLayout, MicrogridTopology, incidence_matrix
 
@@ -263,7 +264,8 @@ def local_gradient(g: GameDefinition, x, upsilon, with_penalty=True):
     Entry layout matches the agent-major decision vector.  ``upsilon``
     is the per-agent estimate of the total generated current that
     replaces the true sum in each agent's trading term.  The nonsmooth
-    penalty contributes its minimum-norm subgradient selection.
+    penalty contributes its minimum-norm subgradient selection, the
+    negated :func:`~gridtrade._kernels.penalty_force` with force rho.
     """
     x = np.asarray(x, dtype=float)
     upsilon = np.asarray(upsilon, dtype=float)
@@ -279,9 +281,7 @@ def local_gradient(g: GameDefinition, x, upsilon, with_penalty=True):
     out[lay.ix_line] = g.alpha_Il_edge * (Il - p.Il_ref)
     if with_penalty:
         b = g.boxes
-        v = x[b.pos]
-        out[b.pos] += np.where(v < b.lo, -b.rho,
-                               np.where(v > b.hi, b.rho, 0.0))
+        out[b.pos] -= penalty_force(x[b.pos], b.lo, b.hi, b.rho)
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from .controller import ControllerParams, ControllerState, controller_rhs, \
     fast_equilibrium
-from .game import GameDefinition, local_gradient, pseudo_gradient
+from .game import GameDefinition, local_gradient
 from .plant import PlantState, plant_rhs
 from .pwa import ABOVE, BELOW, INTERIOR, LOWER, REGIME_NAMES, UPPER
 from .topology import MicrogridTopology, laplacian, laplacian_pinv
@@ -142,30 +142,6 @@ class EquilibriumSolution:
     history: list = None
 
 
-def _lipschitz_estimate(G):
-    """Power-iteration estimate of the spectral norm of G: 50 iterations
-    from a start drawn with seed 0."""
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=G.shape[1])
-    v /= np.linalg.norm(v)
-    S = G.T @ G
-    est = 0.0
-    for _ in range(50):
-        w = S @ v
-        est = np.linalg.norm(w)
-        if est == 0.0:
-            return 0.0
-        v = w / est
-    return float(np.sqrt(est))
-
-
-def _pseudo_gradient_z(g: GameDefinition, zl: _ZLayout):
-    def F(z):
-        u, x = zl.split(z)
-        return pseudo_gradient(g, u, x)
-    return F
-
-
 def _game_map(g: GameDefinition, zl: _ZLayout):
     """The affine weighted game map as ``z -> G z + g0`` (no penalties).
 
@@ -220,9 +196,10 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
     :func:`solve_vi`'s fallback and the independent cross-check of its
     active-set path.
 
-    Projects onto the coupled feasible set with Dykstra's alternating
-    scheme; the step size is 0.5 over a power-iteration Lipschitz
-    estimate of the weighted game map.  Terminates when the fixed-point
+    Iterates the weighted game map ``F(z) = G z + g0`` of
+    :func:`_game_map` and projects onto the coupled feasible set with
+    Dykstra's alternating scheme; the step size is 0.5 over ``|G|_2``,
+    the map's Lipschitz constant.  Terminates when the fixed-point
     residual ``|z - P(z - tau F(z))|_inf`` drops below ``tol`` (or after
     ``max_iter`` iterations), then refines the final face with
     :func:`_active_set` (keeping the raw iterate when that finds no
@@ -239,22 +216,22 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
             f"alternating projection cannot reach the constraint "
             f"intersection (gap {gap:.3g}); the coupled feasible set "
             f"appears to be empty")
-    F = _pseudo_gradient_z(g, zl)
-    lip = _lipschitz_estimate(game_map_matrix(g))
-    tau = 0.5 / lip if lip > 0 else 1.0
+    G, g0 = _game_map(g, zl)
+    # |G|_2 > 0: the u rows carry r_i alpha_u,i > 0
+    tau = 0.5 / np.linalg.norm(G, 2)
 
     z = probe
     residual = np.inf
     history = [] if return_history else None
     it = 0
     for it in range(1, max_iter + 1):
-        z_half = proj.project(z - tau * F(z))
+        z_half = proj.project(z - tau * (G @ z + g0))
         residual = float(np.abs(z - z_half).max())
         if history is not None:
             history.append(residual)
         if residual < tol:
             break
-        z = proj.project(z - tau * F(z_half))
+        z = proj.project(z - tau * (G @ z_half + g0))
     converged = residual < tol
     face = _active_set(g, z=z)
     u, x = zl.split(z if face is None else face[0])
@@ -412,10 +389,12 @@ def recover_multipliers(sol: EquilibriumSolution,
     r_row = w.r[lay.agent_of_pos]
     rhs = -r_row * smooth + gamma[lay.agent_of_pos] * g.constraints.D_stack
 
-    zl = _ZLayout(g)
-    lo_b, hi_b = (b[zl.z_of_x] for b in _box_bounds(g, zl))
-    active_lower = np.abs(x - lo_b) <= _ACTIVE_TOL
-    active_upper = np.abs(x - hi_b) <= _ACTIVE_TOL
+    b = g.boxes
+    v = x[b.pos]
+    active_lower = np.zeros(lay.size, dtype=bool)
+    active_upper = np.zeros(lay.size, dtype=bool)
+    active_lower[b.pos] = np.abs(v - b.lo) <= _ACTIVE_TOL
+    active_upper[b.pos] = np.abs(v - b.hi) <= _ACTIVE_TOL
     inactive = ~(active_lower | active_upper)
 
     AT = g.constraints.A_full.T
@@ -427,19 +406,6 @@ def recover_multipliers(sol: EquilibriumSolution,
     return MultiplierRecovery(lam, gamma, residual, int(rank),
                               rank < g.n + g.m, active_lower, active_upper,
                               box_forces, max(1.0, float(np.abs(rhs).max())))
-
-
-def affine_kkt_solve(g: GameDefinition):
-    """Direct linear equilibrium solve ignoring the boxes: the face of
-    :func:`_active_set` with every entry free.  Valid whenever no box is
-    active.  Returns (u, x, lambda_shared, gamma)."""
-    zl, M, c = _affine_rows(g)
-    lo, hi = _box_bounds(g, zl)
-    G, g0 = _game_map(g, zl)
-    z, mu, _ = _face_solve(G, g0, M, c, lo, hi, np.full(zl.size, np.inf),
-                           np.full(zl.size, INTERIOR))
-    u, x = zl.split(z)
-    return u, x, mu[:g.n + g.m], mu[g.n + g.m:]
 
 
 @dataclass

@@ -354,6 +354,25 @@ class TestClosedLoopAssembly:
             assert np.allclose(fast, ref, rtol=1e-12,
                                atol=1e-9 * max(1, np.abs(ref).max()))
 
+    def test_rk4_step_is_rhs_fast_step(self, ref_scenario, ref_attractor):
+        """One rk4_affine step is the textbook RK4 step of rhs_fast, bit
+        for bit, from the attractor, where V_1's penalty pushes."""
+        g = ref_scenario.game()
+        loop = ClosedLoop(g, ref_scenario.controller)
+        y0 = loop.pack(ref_attractor.plant, ref_attractor.controller)
+        assert _kernels.penalty_force(y0[loop.psrc], loop.plo, loop.phi,
+                                      loop.force).any()
+        dt, f = 1e-5, loop.rhs_fast
+        k1 = f(y0)
+        k2 = f(y0 + 0.5 * dt * k1)
+        k3 = f(y0 + 0.5 * dt * k2)
+        k4 = f(y0 + dt * k3)
+        hand = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y, out = y0.copy(), np.empty((1, loop.size))
+        assert loop.run_segment(y, dt, 1, 1, out) == (1, True)
+        assert y.tobytes() == hand.tobytes() == out[0].tobytes()
+        assert y.tobytes() != y0.tobytes()
+
     def test_pack_unpack_roundtrip(self, ref_scenario):
         g = ref_scenario.game()
         loop = ClosedLoop(g, ref_scenario.controller)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridtrade as gt
-from gridtrade import ControllerParams, affine_kkt_solve, \
-    closed_loop_equilibrium, lyapunov_diagnostics, oracle, \
-    recover_multipliers, reduced_model_rhs, solve_vi
+from gridtrade import ControllerParams, closed_loop_equilibrium, \
+    lyapunov_diagnostics, oracle, recover_multipliers, reduced_model_rhs, \
+    solve_vi
 from gridtrade.controller import ControllerState, controller_rhs
 from gridtrade.engine import ClosedLoop
 from gridtrade.oracle import FeasibleSetProjector, _affine_rows, _box_bounds, \
@@ -52,13 +52,6 @@ class TestSolveVi:
         assert sol.u_star[0] == pytest.approx(u_star, abs=1e-8)
         assert sol.x_star[0] == pytest.approx(I_star, abs=1e-8)
         assert sol.x_star[1] == pytest.approx(V_star, abs=1e-8)
-
-    def test_wide_boxes_match_direct_solve(self, wide_box_game):
-        sol = solve_vi(wide_box_game)
-        u, x, lam, gamma = affine_kkt_solve(wide_box_game)
-        assert np.abs(sol.u_star - u).max() < 1e-8
-        assert np.abs(sol.x_star - x).max() < 1e-8
-        assert np.abs(sol.lambda_star - lam).max() < 1e-6
 
     def test_wide_boxes_match_hand_assembled_kkt(self, wide_box_game):
         """Independent dense assembly of the stationarity system."""
@@ -112,6 +105,7 @@ class TestSolveVi:
         sol = solve_vi(g)
         assert np.abs(sol.u_star - z[zu]).max() < 1e-8
         assert np.abs(sol.x_star - z[zx]).max() < 1e-8
+        assert np.abs(sol.lambda_star - sol_lin[nz:nz + n + m]).max() < 1e-6
 
     def test_reference_scenario_boxes(self, ref_solution, ref_game):
         lay = ref_game.layout
@@ -189,6 +183,22 @@ def ring_scenario(n):
 
 def ring_game(n):
     return ring_scenario(n).game()
+
+
+class TestGameMap:
+    @pytest.mark.parametrize("era", ["ref_game", "ref_post_game", "ring16"])
+    def test_probe_matches_pseudo_gradient(self, era, request):
+        """``G z + g0`` is the weighted game map :func:`pseudo_gradient`
+        evaluates agent by agent, constant term included."""
+        g = ring_game(16) if era == "ring16" else request.getfixturevalue(era)
+        zl = oracle._ZLayout(g)
+        G, g0 = oracle._game_map(g, zl)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            z = rng.normal(scale=300, size=zl.size)
+            ref = gt.pseudo_gradient(g, *zl.split(z))
+            assert np.abs(G @ z + g0 - ref).max() \
+                <= 1e-12 * np.abs(ref).max()
 
 
 class TestActiveSet:

@@ -52,9 +52,9 @@ def rk4_affine(M, c, y, psrc, plo, phi, force, dt, steps, sample_every, out):
     """Advance ``steps`` RK4 steps of :func:`affine_rhs` in place,
     sampling every ``sample_every``.
 
-    Returns (samples_written, finite_flag); a False flag means the state
-    went non-finite at the last written sample, which the caller reports,
-    so numpy's overflow warnings on the way there are silenced.
+    Returns the number of samples written; the run stops after the first
+    non-finite sample, which the caller reports, so numpy's overflow
+    warnings on the way there are silenced.
     """
     rhs = affine_rhs(M, c, psrc, plo, phi, force)
     ns = 0
@@ -69,8 +69,8 @@ def rk4_affine(M, c, y, psrc, plo, phi, force, dt, steps, sample_every, out):
                 out[ns] = y
                 ns += 1
                 if not np.isfinite(y).all():
-                    return ns, False
-    return ns, True
+                    return ns
+    return ns
 
 
 def dykstra_project(P, M, c, lo, hi, z0, max_alt, tol, feas_tol):

@@ -85,6 +85,35 @@ class ControllerState:
         return self.to_vector().size
 
 
+def _equations(cs: ControllerState, plant_I, g: GameDefinition,
+               cp: ControllerParams):
+    """The controller's equations at ``cs`` with the measured generated
+    currents ``plant_I``, each stated once.
+
+    Returns (the two estimator residuals, eps_fast times the derivatives
+    of upsilon and nu; d_u; r_i A_i^T lam_i in block order; d_lam;
+    d_theta; d_gamma).  The decision copy's own current estimate drives
+    the consensus estimator and the local voltage balance.
+    """
+    n = g.n
+    lay = g.layout
+    w = g.weights
+    con = g.constraints
+    Lap = laplacian(g.comm_topo)
+    Ihat = cs.xhat[lay.ix_I]
+
+    e_ups = -cs.upsilon - Lap @ cs.upsilon - Lap @ cs.nu + n * Ihat
+    e_nu = Lap @ cs.upsilon
+    d_u = -w.r * w.alpha_u * (cs.u - g.plant.u_ref) + cs.gamma \
+        - cp.eps_u * np.asarray(plant_I, dtype=float)
+    rAtLam = w.r[lay.agent_of_pos] * con.agent_cols(cs.lam)
+    W = w.r[:, None] * cs.lam + cs.theta
+    d_lam = w.r[:, None] * (con.agent_rows(cs.xhat) - Lap @ W)
+    d_theta = Lap @ (w.r[:, None] * cs.lam)
+    d_gamma = -cs.u + g.plant.R * Ihat + cs.xhat[lay.ix_V]
+    return e_ups, e_nu, d_u, rAtLam, d_lam, d_theta, d_gamma
+
+
 def controller_rhs(cs: ControllerState, plant_I, g: GameDefinition,
                    cp: ControllerParams) -> ControllerState:
     """Time derivative of the controller state.
@@ -93,31 +122,14 @@ def controller_rhs(cs: ControllerState, plant_I, g: GameDefinition,
     the decision copy's own current estimate drives the consensus
     estimator.
     """
-    plant_I = np.asarray(plant_I, dtype=float)
-    n = g.n
+    e_ups, e_nu, d_u, rAtLam, d_lam, d_theta, d_gamma = \
+        _equations(cs, plant_I, g, cp)
     lay = g.layout
-    w = g.weights
-    con = g.constraints
-    Lap = laplacian(g.comm_topo)
-    Ihat = cs.xhat[lay.ix_I]
-
-    d_ups = (-cs.upsilon - Lap @ cs.upsilon - Lap @ cs.nu + n * Ihat) / cp.eps_fast
-    d_nu = (Lap @ cs.upsilon) / cp.eps_fast
-    d_u = -w.r * w.alpha_u * (cs.u - g.plant.u_ref) + cs.gamma \
-        - cp.eps_u * plant_I
-
-    Fbar = local_gradient(g, cs.xhat, cs.upsilon)
-    r_row = w.r[lay.agent_of_pos]
-    AtLam = con.agent_cols(cs.lam)
-    d_xhat = -r_row * Fbar - r_row * AtLam - cs.gamma[lay.agent_of_pos] * con.D_stack
-
-    W = w.r[:, None] * cs.lam + cs.theta
-    consensus = Lap @ W
-    feas = con.agent_rows(cs.xhat)
-    d_lam = w.r[:, None] * (feas - consensus)
-    d_theta = Lap @ (w.r[:, None] * cs.lam)
-    d_gamma = -cs.u + g.plant.R * Ihat + cs.xhat[lay.ix_V]
-    return ControllerState(d_ups, d_nu, d_u, d_xhat, d_lam, d_theta, d_gamma)
+    r_row = g.weights.r[lay.agent_of_pos]
+    d_xhat = -r_row * local_gradient(g, cs.xhat, cs.upsilon) - rAtLam \
+        - cs.gamma[lay.agent_of_pos] * g.constraints.D_stack
+    return ControllerState(e_ups / cp.eps_fast, e_nu / cp.eps_fast, d_u,
+                           d_xhat, d_lam, d_theta, d_gamma)
 
 
 def fast_equilibrium(Ihat, topo):
@@ -149,45 +161,25 @@ def kkt_residual(cs: ControllerState, g: GameDefinition,
                  cp: ControllerParams) -> KktResidual:
     """Distance of a controller state from the distributed optimality system.
 
-    Lines 1-2: consensus-estimator stationarity; 3: voltage-dynamics
-    stationarity (the current measurement replaced by the decision
-    copy's, which coincides with it at any closed-loop equilibrium);
-    4: penalized cost stationarity, measured as the distance from zero
-    to the subdifferential interval; 5: local voltage balance; 6-7:
-    multiplier feasibility and weighted consensus.
+    The controller's own equations (:func:`_equations`) with the current
+    measurement replaced by the decision copy's, which coincides with it
+    at any closed-loop equilibrium.  Lines 1-2: consensus-estimator
+    stationarity; 3: voltage-dynamics stationarity; 4: penalized cost
+    stationarity, measured as the distance from zero to the
+    subdifferential interval; 5: local voltage balance; 6-7: multiplier
+    feasibility and weighted consensus.
     """
-    n = g.n
     lay = g.layout
-    w = g.weights
-    con = g.constraints
-    Lap = laplacian(g.comm_topo)
-    Ihat = cs.xhat[lay.ix_I]
-
-    l1 = -cs.upsilon - Lap @ cs.upsilon - Lap @ cs.nu + n * Ihat
-    l2 = Lap @ cs.upsilon
-    l3 = -w.r * w.alpha_u * (cs.u - g.plant.u_ref) + cs.gamma - cp.eps_u * Ihat
-
+    e_ups, e_nu, d_u, rAtLam, d_lam, d_theta, d_gamma = \
+        _equations(cs, cs.xhat[lay.ix_I], g, cp)
     lo, hi = local_gradient_interval(g, cs.xhat, cs.upsilon)
-    r_row = w.r[lay.agent_of_pos]
-    AtLam = con.agent_cols(cs.lam)
-    shift = r_row * AtLam + cs.gamma[lay.agent_of_pos] * con.D_stack
+    r_row = g.weights.r[lay.agent_of_pos]
+    shift = rAtLam + cs.gamma[lay.agent_of_pos] * g.constraints.D_stack
     set_lo = r_row * lo + shift
     set_hi = r_row * hi + shift
     l4 = np.where(set_lo > 0.0, set_lo, np.where(set_hi < 0.0, -set_hi, 0.0))
-
-    l5 = g.plant.R * Ihat + cs.xhat[lay.ix_V] - cs.u
-    W = w.r[:, None] * cs.lam + cs.theta
-    consensus = Lap @ W
-    feas = con.agent_rows(cs.xhat)
-    l6 = w.r[:, None] * (feas - consensus)
-    l7 = Lap @ (w.r[:, None] * cs.lam)
-
-    lines = np.array([
-        np.abs(l1).max(), np.abs(l2).max(), np.abs(l3).max(),
-        np.abs(l4).max(), np.abs(l5).max(), np.abs(l6).max(),
-        np.abs(l7).max(),
-    ])
-    return KktResidual(lines)
+    return KktResidual(np.array([np.abs(l).max() for l in (
+        e_ups, e_nu, d_u, l4, d_gamma, d_lam, d_theta)]))
 
 
 def consensus_errors(cs: ControllerState, g: GameDefinition):

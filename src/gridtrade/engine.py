@@ -409,6 +409,8 @@ class ClosedLoop:
                                    self.phi, self.force)
 
     def run_segment(self, y, dt, steps, sample_every, out):
+        """:func:`_kernels.rk4_affine` on this loop: advances ``y`` in
+        place and returns the number of samples written to ``out``."""
         return _kernels.rk4_affine(self.M, self.c, y, self.psrc, self.plo,
                                    self.phi, self.force, dt, steps,
                                    sample_every, out)
@@ -556,7 +558,7 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
         def advance(era, y, n_samples):
             loop = loop_of(era)
             out = np.empty((n_samples, loop.size))
-            ns, _ = loop.run_segment(y, cfg.dt, n_samples * per, per, out)
+            ns = loop.run_segment(y, cfg.dt, n_samples * per, per, out)
             return out[:ns], y
     else:
         def advance(era, y, n_samples):

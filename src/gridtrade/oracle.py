@@ -27,21 +27,55 @@ from .pwa import ABOVE, BELOW, INTERIOR, LOWER, REGIME_NAMES, UPPER
 from .topology import MicrogridTopology, laplacian, laplacian_pinv
 
 
-class _ZLayout:
-    """Joint (u, x) vector in agent-major order: (u_i, I_i, V_i, lines_i)."""
+class _Vi:
+    """The game's variational inequality, assembled once per solve and
+    read-only.
+
+    The joint vector z is agent-major, (u_i, I_i, V_i, lines_i) per agent;
+    ``z_of_u`` and ``z_of_x`` place u and the stacked decision vector x in
+    it.  The feasible set is the balances ``M z = c`` (coupling rows, then
+    the local balances) within the bounds ``lo``, ``hi``, finite only at
+    ``box``, the boxed entries in ``g.boxes`` order.  ``G z + g0`` is the
+    weighted game map without penalties: decision-block rows are r_i times
+    the smooth local gradient, probed with :func:`_kernels.affine_probe`;
+    the voltage-dynamics rows are r_i a_u (u_i - u_ref).  ``start`` is the
+    reference point clipped into the bounds.
+    """
 
     def __init__(self, g: GameDefinition):
         lay = g.layout
-        self.size = g.n + lay.size
-        self.z_of_u = np.zeros(g.n, dtype=int)
-        self.z_of_x = np.zeros(lay.size, dtype=int)
-        pos = 0
-        for i in range(g.n):
-            self.z_of_u[i] = pos
-            pos += 1
-            d = int(lay.dims[i])
-            self.z_of_x[lay.offsets[i]:lay.offsets[i] + d] = np.arange(pos, pos + d)
-            pos += d
+        w = g.weights
+        con = g.constraints
+        self.g = g
+        self.size = size = g.n + lay.size
+        self.z_of_u = z_of_u = lay.offsets[:-1] + np.arange(g.n)
+        self.z_of_x = z_of_x = np.arange(lay.size) + lay.agent_of_pos + 1
+        local = g.n + g.m          # row of agent 1's local balance
+        self.M = np.zeros((local + g.n, size))
+        self.M[:local, z_of_x] = con.A_full
+        self.M[local + lay.agent_of_pos, z_of_x] = con.D_stack
+        self.M[local + np.arange(g.n), z_of_u] = -1.0
+        self.c = np.concatenate([con.s_A_full, np.zeros(g.n)])
+        self.box = z_of_x[g.boxes.pos]
+        self.lo = np.full(size, -np.inf)
+        self.hi = np.full(size, np.inf)
+        self.lo[self.box] = g.boxes.lo
+        self.hi[self.box] = g.boxes.hi
+        Gx, gx = _kernels.affine_probe(
+            lambda x: local_gradient(g, x, np.full(g.n, x[lay.ix_I].sum()),
+                                     with_penalty=False), lay.size)
+        r_row = w.r[lay.agent_of_pos]
+        self.G = np.zeros((size, size))
+        self.g0 = np.zeros(size)
+        self.G[np.ix_(z_of_x, z_of_x)] = r_row[:, None] * Gx
+        self.g0[z_of_x] = r_row * gx
+        self.G[z_of_u, z_of_u] = w.r * w.alpha_u
+        self.g0[z_of_u] = -w.r * w.alpha_u * g.plant.u_ref
+        self.start = np.clip(self.join(g.plant.u_ref, g.x_ref), self.lo,
+                             self.hi)
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     def join(self, u, x):
         z = np.zeros(self.size)
@@ -51,28 +85,6 @@ class _ZLayout:
 
     def split(self, z):
         return z[self.z_of_u], z[self.z_of_x]
-
-
-def _affine_rows(g: GameDefinition):
-    """Equality constraints M z = c: coupling rows plus local balances."""
-    zl = _ZLayout(g)
-    con = g.constraints
-    local = g.n + g.m          # row of agent 1's local balance
-    M = np.zeros((local + g.n, zl.size))
-    M[:local, zl.z_of_x] = con.A_full
-    M[local + g.layout.agent_of_pos, zl.z_of_x] = con.D_stack
-    M[local + np.arange(g.n), zl.z_of_u] = -1.0
-    c = np.concatenate([con.s_A_full, np.zeros(g.n)])
-    return zl, M, c
-
-
-def _box_bounds(g: GameDefinition, zl: _ZLayout):
-    lo = np.full(zl.size, -np.inf)
-    hi = np.full(zl.size, np.inf)
-    box = zl.z_of_x[g.boxes.pos]
-    lo[box] = g.boxes.lo
-    hi[box] = g.boxes.hi
-    return lo, hi
 
 
 # Dykstra stops after 200000 alternations or on an iterate increment
@@ -142,32 +154,10 @@ class EquilibriumSolution:
     history: list = None
 
 
-def _game_map(g: GameDefinition, zl: _ZLayout):
-    """The affine weighted game map as ``z -> G z + g0`` (no penalties).
-
-    Decision-block rows are r_i times the smooth local gradient, probed
-    with :func:`_kernels.affine_probe`; the voltage-dynamics rows are
-    r_i a_u (u_i - u_ref).
-    """
-    lay = g.layout
-    w = g.weights
-    Gx, gx = _kernels.affine_probe(
-        lambda x: local_gradient(g, x, np.full(g.n, x[lay.ix_I].sum()),
-                                 with_penalty=False), lay.size)
-    r_row = w.r[lay.agent_of_pos]
-    G = np.zeros((zl.size, zl.size))
-    g0 = np.zeros(zl.size)
-    G[np.ix_(zl.z_of_x, zl.z_of_x)] = r_row[:, None] * Gx
-    g0[zl.z_of_x] = r_row * gx
-    G[zl.z_of_u, zl.z_of_u] = w.r * w.alpha_u
-    g0[zl.z_of_u] = -w.r * w.alpha_u * g.plant.u_ref
-    return G, g0
-
-
 def game_map_matrix(g: GameDefinition) -> np.ndarray:
     """Matrix of the affine game map over the joint vector (u_i, x_i per
-    agent, as in the oracle's layout)."""
-    return _game_map(g, _ZLayout(g))[0]
+    agent, as in the oracle's layout); read-only."""
+    return _Vi(g).G
 
 
 def solve_vi(g: GameDefinition) -> EquilibriumSolution:
@@ -179,13 +169,15 @@ def solve_vi(g: GameDefinition) -> EquilibriumSolution:
     finite active-set iteration of :func:`_active_set`, started from the
     reference point clipped into the boxes, solves it exactly (Facchinei
     & Pang, *Finite-Dimensional Variational Inequalities and
-    Complementarity Problems*, 2003).  The answer is returned only when
-    :func:`_certified` accepts it; otherwise the solve falls back to
-    :func:`_solve_extragradient`, which raises RuntimeError when the
-    feasible set is empty.  Deterministic.
+    Complementarity Problems*, 2003).  The game is assembled once
+    (:class:`_Vi`) for that iteration and for :func:`_certified`; the
+    answer is returned only when the certificate accepts it, otherwise
+    the solve falls back to :func:`_solve_extragradient`, which raises
+    RuntimeError when the feasible set is empty.  Deterministic.
     """
-    face = _active_set(g)
-    sol = None if face is None else _certified(g, face[0])
+    vi = _Vi(g)
+    face = _active_set(vi)
+    sol = None if face is None else _certified(vi, face[0])
     return sol if sol is not None else _solve_extragradient(g)
 
 
@@ -196,27 +188,26 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
     :func:`solve_vi`'s fallback and the independent cross-check of its
     active-set path.
 
-    Iterates the weighted game map ``F(z) = G z + g0`` of
-    :func:`_game_map` and projects onto the coupled feasible set with
-    Dykstra's alternating scheme; the step size is 0.5 over ``|G|_2``,
-    the map's Lipschitz constant.  Terminates when the fixed-point
-    residual ``|z - P(z - tau F(z))|_inf`` drops below ``tol`` (or after
+    Iterates the weighted game map ``F(z) = G z + g0`` of :class:`_Vi`
+    and projects onto the coupled feasible set with Dykstra's
+    alternating scheme; the step size is 0.5 over ``|G|_2``, the map's
+    Lipschitz constant.  Terminates when the fixed-point residual
+    ``|z - P(z - tau F(z))|_inf`` drops below ``tol`` (or after
     ``max_iter`` iterations), then refines the final face with
     :func:`_active_set` (keeping the raw iterate when that finds no
     consistent face) and recovers its multipliers.  Raises RuntimeError
     when the feasible set is empty; deterministic.
     """
-    zl, M, c = _affine_rows(g)
-    lo, hi = _box_bounds(g, zl)
-    proj = FeasibleSetProjector(M, c, lo, hi)
-    probe = proj.project(np.clip(zl.join(g.plant.u_ref, g.x_ref), lo, hi))
+    vi = _Vi(g)
+    M, c, G, g0 = vi.M, vi.c, vi.G, vi.g0
+    proj = FeasibleSetProjector(M, c, vi.lo, vi.hi)
+    probe = proj.project(vi.start)
     gap = float(np.abs(M @ probe - c).max())
     if gap > 1e-6:
         raise RuntimeError(
             f"alternating projection cannot reach the constraint "
             f"intersection (gap {gap:.3g}); the coupled feasible set "
             f"appears to be empty")
-    G, g0 = _game_map(g, zl)
     # |G|_2 > 0: the u rows carry r_i alpha_u,i > 0
     tau = 0.5 / np.linalg.norm(G, 2)
 
@@ -233,8 +224,8 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
             break
         z = proj.project(z - tau * (G @ z_half + g0))
     converged = residual < tol
-    face = _active_set(g, z=z)
-    u, x = zl.split(z if face is None else face[0])
+    face = _active_set(vi, z=z)
+    u, x = vi.split(z if face is None else face[0])
     sol = EquilibriumSolution(u, x, np.zeros(g.n + g.m), np.zeros(g.n),
                               it, residual, converged, "extragradient",
                               history=history)
@@ -245,8 +236,9 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
     return sol
 
 
-def _certified(g, z):
-    """Certified solution at ``z``, or None when the certificate fails.
+def _certified(vi: _Vi, z):
+    """Certified solution at ``z`` of the assembled game ``vi``, or None
+    when the certificate fails.
 
     Primal: the balances hold to 1e-8 and every box holds up to the
     rounding of a pinned entry (1e-12 relative to the bound; the pinned
@@ -255,14 +247,13 @@ def _certified(g, z):
     relative to max(1, the size of the stationarity right-hand side), and
     every active box's force points into the box.
     """
-    zl, M, c = _affine_rows(g)
-    lo, hi = _box_bounds(g, zl)
-    gap = float(np.abs(M @ z - c).max())
+    g, lo, hi = vi.g, vi.lo, vi.hi
+    gap = float(np.abs(vi.M @ z - vi.c).max())
     if not gap <= 1e-8 \
             or (z < lo - 1e-12 * np.maximum(1.0, np.abs(lo))).any() \
             or (z > hi + 1e-12 * np.maximum(1.0, np.abs(hi))).any():
         return None
-    u, x = zl.split(z)
+    u, x = vi.split(z)
     sol = EquilibriumSolution(u, x, np.zeros(g.n + g.m), np.zeros(g.n), 0,
                               gap, True, "active_set")
     rec = recover_multipliers(sol, g)
@@ -301,37 +292,37 @@ def _face_solve(G, g0, M, c, lo, hi, cap, state):
     return sol[:nz], sol[nz:nz + nc], sol[nz + nc:]
 
 
-def _active_set(g: GameDefinition, cp: ControllerParams = None, z=None):
+def _active_set(vi: _Vi, cp: ControllerParams = None, z=None):
     """Primal-dual active-set solve over the box faces (Hintermüller,
-    Ito & Kunisch, SIAM J. Optim. 13(3), 2002).
+    Ito & Kunisch, SIAM J. Optim. 13(3), 2002) of the assembled game
+    ``vi``.
 
     Without ``cp``: the game's variational inequality, every box holding
     any force.  With ``cp``: the penalized closed loop's attractor; the
-    voltage rows carry the controller's eps_u I_i coupling and a box
-    holds at most its penalty's force, r_i rho_V (voltage) or r_edge
-    rho_Il (line), beyond which the entry leaves and the penalty
-    saturates.  From the bounds within 1e-4 of ``z`` (default: the
-    reference point clipped into the boxes) each round solves the face
-    and moves one entry, first rule that applies: free the most
-    wrong-signed pin; saturate the pin most over its cap; re-pin the
-    saturated entry furthest back inside; pin the most violated free
-    entry.  Returns (z, balance multipliers, regime per entry, force per
-    entry), or None on a singular or non-finite face or after
-    max(40, 2 len(z)) rounds.
+    voltage rows carry the controller's eps_u I_i coupling (added to a
+    copy of ``vi.G``) and a box holds at most its penalty's force, r_i
+    rho_V (voltage) or r_edge rho_Il (line), beyond which the entry
+    leaves and the penalty saturates.  From the bounds within 1e-4 of
+    ``z`` (default: ``vi.start``, the reference point clipped into the
+    boxes) each round solves the face and moves one entry, first rule
+    that applies: free the most wrong-signed pin; saturate the pin most
+    over its cap; re-pin the saturated entry furthest back inside; pin
+    the most violated free entry.  Returns (z, balance multipliers,
+    regime per entry, force per entry), or None on a singular or
+    non-finite face or after max(40, 2 len(z)) rounds.
     """
-    zl, M, c = _affine_rows(g)
-    lo, hi = _box_bounds(g, zl)
-    G, g0 = _game_map(g, zl)
-    cap = np.full(zl.size, np.inf)
+    M, c, lo, hi, G, g0 = vi.M, vi.c, vi.lo, vi.hi, vi.G, vi.g0
+    cap = np.full(vi.size, np.inf)
     if cp is not None:
-        G[zl.z_of_u, zl.z_of_x[g.layout.ix_I]] += cp.eps_u
-        cap[zl.z_of_x[g.boxes.pos]] = g.boxes.force
+        G = G.copy()
+        G[vi.z_of_u, vi.z_of_x[vi.g.layout.ix_I]] += cp.eps_u
+        cap[vi.box] = vi.g.boxes.force
     if z is None:
-        z = np.clip(zl.join(g.plant.u_ref, g.x_ref), lo, hi)
+        z = vi.start
     state = np.where(z - lo <= 1e-4, LOWER,
                      np.where(hi - z <= 1e-4, UPPER, INTERIOR))
-    none = np.full(zl.size, -np.inf)
-    for _ in range(max(40, 2 * zl.size)):
+    none = np.full(vi.size, -np.inf)
+    for _ in range(max(40, 2 * vi.size)):
         try:
             zf, mu, pin_forces = _face_solve(G, g0, M, c, lo, hi, cap, state)
         except np.linalg.LinAlgError:
@@ -346,7 +337,7 @@ def _active_set(g: GameDefinition, cp: ControllerParams = None, z=None):
         inward = np.where(lower, -force, force)
         rules = (
             (np.where(pinned, -inward, none), 1e-9,
-             np.full(zl.size, INTERIOR)),
+             np.full(vi.size, INTERIOR)),
             (np.where(pinned, inward - cap, none), 1e-9,
              np.where(lower, BELOW, ABOVE)),
             (np.where(state == BELOW, zf - lo,
@@ -441,19 +432,18 @@ def closed_loop_equilibrium(g: GameDefinition,
     unique for a strictly monotone game.  Raises RuntimeError when the
     active-set iteration finds none.
     """
-    face = _active_set(g, cp)
+    vi = _Vi(g)
+    face = _active_set(vi, cp)
     if face is None:
         raise RuntimeError(
             "no consistent penalty regime found for the closed loop")
     z, mu, state, force = face
     lay = g.layout
     w = g.weights
-    zl = _ZLayout(g)
-    lo, hi = _box_bounds(g, zl)
-    z = np.where(state == LOWER, lo, np.where(state == UPPER, hi, z))
-    u, x = zl.split(z)
+    z = np.where(state == LOWER, vi.lo, np.where(state == UPPER, vi.hi, z))
+    u, x = vi.split(z)
     lam, gamma = mu[:g.n + g.m], mu[g.n + g.m:]
-    box = zl.z_of_x[g.boxes.pos]
+    box = vi.box
     regimes = tuple(REGIME_NAMES[s] for s in state[box])
     Ihat = x[lay.ix_I]
     ups, nu = fast_equilibrium(Ihat, g.comm_topo)
@@ -525,7 +515,6 @@ def lyapunov_diagnostics(plant_state: PlantState, cs: ControllerState,
     deriv_energy = 0.5 * (d_plant.I @ (p.L * d_plant.I)
                           + d_plant.I_l @ (p.L_l * d_plant.I_l)
                           + d_plant.V @ (p.C * d_plant.V))
-    g_d = np.concatenate([d_slow.u, d_slow.xhat, d_slow.lam.ravel(),
-                          d_slow.theta.ravel(), d_slow.gamma])
+    g_d = d_slow.to_vector()[2 * g.n:]
     E_r = float(deriv_energy + (0.5 / cp.eps_u) * (g_d @ g_d))
     return E_b, E_r

@@ -6,6 +6,7 @@ import numpy as np
 import gridtrade as gt
 from gridtrade import _kernels
 from gridtrade.integrate import grid_errors, run_eras
+from gridtrade.oracle import _solve_extragradient
 from gridtrade.scenarios import ring4, ring4_dict
 
 
@@ -34,6 +35,13 @@ def ref_solution(ref_game):
     sol = gt.solve_vi(ref_game)
     assert sol.converged
     return sol
+
+
+@pytest.fixture(scope="session")
+def ref_extragradient(ref_game):
+    """The reference game solved by extragradient with its residual
+    history, shared read-only."""
+    return _solve_extragradient(ref_game, return_history=True)
 
 
 @pytest.fixture(scope="session")
@@ -145,8 +153,8 @@ def rk4_run(M, c, y0, cfg, events=()):
 
     def advance(era, y, n_samples):
         out = np.empty((n_samples, y.size))
-        ns, _ = _kernels.rk4_affine(M, consts[era], y, psrc, none, none, none,
-                                    cfg.dt, n_samples * per, per, out)
+        ns = _kernels.rk4_affine(M, consts[era], y, psrc, none, none, none,
+                                 cfg.dt, n_samples * per, per, out)
         return out[:ns], y
 
     return run_eras(y0, cfg, times, advance)

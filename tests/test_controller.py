@@ -150,6 +150,27 @@ class TestKktResidual:
         for k in (0, 1, 2, 3, 4, 6):
             assert res.lines[k] == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("case", ["ring4", "pair"])
+    def test_lines_are_the_dynamics(self, case, ref_game, ref_cp, pair_game):
+        """At random states, the residual's lines are the controller's
+        own equations with the measured current replaced by the decision
+        copy's: lines 3, 5, 6 and 7 bit for bit, lines 1-2 as eps_fast
+        times the estimator derivatives within 1 ulp."""
+        g, cp = (ref_game, ref_cp) if case == "ring4" else (pair_game, CP)
+        rng = np.random.default_rng(21)
+        size = ControllerState.zeros(g).size
+        for _ in range(20):
+            cs = ControllerState.from_vector(
+                rng.normal(scale=10.0 ** rng.integers(-2, 4), size=size), g)
+            lines = kkt_residual(cs, g, cp).lines
+            d = controller_rhs(cs, cs.xhat[g.layout.ix_I], g, cp)
+            for k, rate in ((2, d.u), (4, d.gamma), (5, d.lam),
+                            (6, d.theta)):
+                assert lines[k] == np.abs(rate).max()
+            for k, rate in ((0, d.upsilon), (1, d.nu)):
+                scaled = np.abs(cp.eps_fast * rate).max()
+                assert abs(lines[k] - scaled) <= np.spacing(lines[k])
+
     def test_multiplier_perturbation_scales_linearly(self, ref_game,
                                                      ref_cp,
                                                      ref_attractor):

@@ -369,7 +369,7 @@ class TestClosedLoopAssembly:
         k4 = f(y0 + dt * k3)
         hand = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y, out = y0.copy(), np.empty((1, loop.size))
-        assert loop.run_segment(y, dt, 1, 1, out) == (1, True)
+        assert loop.run_segment(y, dt, 1, 1, out) == 1
         assert y.tobytes() == hand.tobytes() == out[0].tobytes()
         assert y.tobytes() != y0.tobytes()
 

@@ -8,8 +8,8 @@ from gridtrade import ControllerParams, closed_loop_equilibrium, \
     solve_vi
 from gridtrade.controller import ControllerState, controller_rhs
 from gridtrade.engine import ClosedLoop
-from gridtrade.oracle import FeasibleSetProjector, _affine_rows, _box_bounds, \
-    _solve_extragradient, boundary_layer_energy_matrix
+from gridtrade.oracle import FeasibleSetProjector, _Vi, _solve_extragradient, \
+    boundary_layer_energy_matrix
 from gridtrade.plant import PlantState
 from gridtrade.scenarios import ring4_dict
 
@@ -24,6 +24,22 @@ def scaled_game(scn, factor):
                                   w.alpha_V, [a.copy() for a in w.alpha_Il])
     return gt.build_game(scn.topo, scn.plant, scn.price, weights,
                          scn.penalties, validate=False)
+
+
+def hand_layout(g):
+    """Positions of u and x in the joint vector, placed agent by agent:
+    (u_i, I_i, V_i, lines_i) per agent."""
+    lay = g.layout
+    zu = []
+    zx = np.zeros(lay.size, dtype=int)
+    pos = 0
+    for i in range(g.n):
+        zu.append(pos)
+        pos += 1
+        for j in range(int(lay.dims[i])):
+            zx[int(lay.offsets[i]) + j] = pos
+            pos += 1
+    return np.array(zu), zx
 
 
 class TestSolveVi:
@@ -61,19 +77,10 @@ class TestSolveVi:
         p = g.plant
         n, m = g.n, g.m
         nz = n + lay.size
-        # z agent-major: (u_i, I_i, V_i, lines...); build G, g0 by hand
+        # build G, g0 by hand
         G = np.zeros((nz, nz))
         g0 = np.zeros(nz)
-        zu = []
-        zx = np.zeros(lay.size, dtype=int)
-        pos = 0
-        for i in range(n):
-            zu.append(pos)
-            pos += 1
-            for j in range(int(lay.dims[i])):
-                zx[int(lay.offsets[i]) + j] = pos
-                pos += 1
-        zu = np.array(zu)
+        zu, zx = hand_layout(g)
         for i in range(n):
             G[zu[i], zu[i]] = w.r[i] * w.alpha_u[i]
             g0[zu[i]] = -w.r[i] * w.alpha_u[i] * p.u_ref[i]
@@ -123,8 +130,8 @@ class TestSolveVi:
         assert (V >= 377.0 - 1e-9).all() and (V <= 383.0 + 1e-9).all()
         assert (np.abs(Il) <= 20.0 + 1e-9).all()
 
-    def test_deterministic(self, ref_game):
-        a = _solve_extragradient(ref_game)
+    def test_deterministic(self, ref_game, ref_extragradient):
+        a = ref_extragradient
         b = _solve_extragradient(ref_game)
         assert np.array_equal(a.u_star, b.u_star)
         assert np.array_equal(a.x_star, b.x_star)
@@ -145,9 +152,9 @@ class TestSolveVi:
         ratio = sol3.lambda_star / ref_solution.lambda_star
         assert np.allclose(ratio, 3.0, rtol=1e-6)
 
-    def test_residual_history_monotone_after_burn_in(self, ref_game):
-        sol = _solve_extragradient(ref_game, return_history=True)
-        hist = np.array(sol.history[10:])
+    def test_residual_history_monotone_after_burn_in(self,
+                                                     ref_extragradient):
+        hist = np.array(ref_extragradient.history[10:])
         assert ((hist[1:] - hist[:-1]) <= 1e-12 + 1e-6 * hist[:-1]).all()
 
     def test_empty_feasible_set_diagnosed(self, ref_scenario):
@@ -164,14 +171,18 @@ class TestSolveVi:
             solve_vi(g)
 
 
-def ring_scenario(n):
+def ring_scenario(n, heads=None):
     """n DGUs on a ring, repeating ring4's per-agent records; alpha_I and
     the base price grow with n so the game stays strictly monotone and
-    the price margin positive."""
+    the price margin positive.  Edge k joins DGU k to DGU k + 1 and is
+    managed by its head, or by its tail where ``heads[k - 1]`` is
+    False."""
+    heads = [True] * n if heads is None else heads
     d = ring4_dict()
     d["topology"] = {"n": n,
                      "edges": [[k + 1, (k + 1) % n + 1] for k in range(n)],
-                     "managers": list(range(1, n + 1))}
+                     "managers": [k + 1 if h else (k + 1) % n + 1
+                                  for k, h in enumerate(heads)]}
     d["dgus"] = [d["dgus"][i % 4] for i in range(n)]
     d["lines"] = [d["lines"][i % 4] for i in range(n)]
     d["weights"] = [dict(w, alpha_I=w["alpha_I"] * 0.6 * n)
@@ -181,8 +192,49 @@ def ring_scenario(n):
     return gt.Scenario.from_dict(d)
 
 
-def ring_game(n):
-    return ring_scenario(n).game()
+def ring_game(n, heads=None):
+    return ring_scenario(n, heads).game()
+
+
+class TestVi:
+    """The oracle's one assembly of the game: closed-form index arrays,
+    join/split and read-only arrays."""
+
+    @staticmethod
+    def check_layout(g):
+        vi = _Vi(g)
+        zu, zx = hand_layout(g)
+        assert np.array_equal(vi.z_of_u, zu)
+        assert np.array_equal(vi.z_of_x, zx)
+        assert np.array_equal(np.sort(np.concatenate([zu, zx])),
+                              np.arange(vi.size))
+        rng = np.random.default_rng(g.n)
+        u, x = rng.normal(size=g.n), rng.normal(size=g.layout.size)
+        z = vi.join(u, x)
+        su, sx = vi.split(z)
+        assert np.array_equal(su, u) and np.array_equal(sx, x)
+        assert np.array_equal(vi.join(su, sx), z)
+
+    @pytest.mark.parametrize("case", ["ring4", "ring16"])
+    def test_index_arrays_match_hand_layout(self, case, ref_game):
+        """ring4: agent 1 manages two lines, agent 4 none."""
+        g = ref_game if case == "ring4" else ring_game(16)
+        if case == "ring4":
+            assert list(g.layout.dims) == [4, 3, 3, 2]
+        self.check_layout(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 8).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n, max_size=n)))
+    def test_index_arrays_any_partition(self, heads):
+        self.check_layout(ring_game(len(heads), heads))
+
+    def test_arrays_read_only(self, ref_game):
+        vi = _Vi(ref_game)
+        for name in ("z_of_u", "z_of_x", "M", "c", "lo", "hi", "box", "G",
+                     "g0", "start"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(vi, name)[0] = 0
 
 
 class TestGameMap:
@@ -191,13 +243,12 @@ class TestGameMap:
         """``G z + g0`` is the weighted game map :func:`pseudo_gradient`
         evaluates agent by agent, constant term included."""
         g = ring_game(16) if era == "ring16" else request.getfixturevalue(era)
-        zl = oracle._ZLayout(g)
-        G, g0 = oracle._game_map(g, zl)
+        vi = _Vi(g)
         rng = np.random.default_rng(12)
         for _ in range(5):
-            z = rng.normal(scale=300, size=zl.size)
-            ref = gt.pseudo_gradient(g, *zl.split(z))
-            assert np.abs(G @ z + g0 - ref).max() \
+            z = rng.normal(scale=300, size=vi.size)
+            ref = gt.pseudo_gradient(g, *vi.split(z))
+            assert np.abs(vi.G @ z + vi.g0 - ref).max() \
                 <= 1e-12 * np.abs(ref).max()
 
 
@@ -206,7 +257,8 @@ class TestActiveSet:
     def test_matches_extragradient_bitwise(self, era, request):
         g = request.getfixturevalue(era)
         a = solve_vi(g)
-        b = _solve_extragradient(g)
+        b = (request.getfixturevalue("ref_extragradient")
+             if era == "ref_game" else _solve_extragradient(g))
         assert a.method == "active_set" and a.iterations == 0
         assert b.method == "extragradient"
         assert np.array_equal(a.u_star, b.u_star)
@@ -217,9 +269,9 @@ class TestActiveSet:
         """The reported residual is the certificate's: the larger of the
         balance gap and the stationarity residual."""
         rec = ref_solution.recovery
-        zl, M, c = _affine_rows(ref_game)
-        gap = np.abs(M @ zl.join(ref_solution.u_star, ref_solution.x_star)
-                     - c).max()
+        vi = _Vi(ref_game)
+        gap = np.abs(vi.M @ vi.join(ref_solution.u_star, ref_solution.x_star)
+                     - vi.c).max()
         assert ref_solution.method == "active_set" and ref_solution.converged
         assert ref_solution.residual == max(gap, rec.residual)
         assert rec.residual <= 1e-9 * rec.scale
@@ -229,7 +281,7 @@ class TestActiveSet:
         from gridtrade import oracle
 
         monkeypatch.setattr(oracle, "_active_set",
-                            lambda g, cp=None, z=None: None)
+                            lambda vi, cp=None, z=None: None)
         sol = solve_vi(ref_game)
         assert sol.method == "extragradient"
         assert sol.iterations > 0
@@ -243,31 +295,26 @@ class TestActiveSet:
         rec = sol.recovery
         assert rec.residual <= 1e-9 * rec.scale
         assert (rec.active_lower | rec.active_upper).any()
-        zl, M, c = _affine_rows(g)
-        lo, hi = _box_bounds(g, zl)
-        z = zl.join(sol.u_star, sol.x_star)
-        assert np.abs(M @ z - c).max() < 1e-8
-        assert (z >= lo - 1e-9).all() and (z <= hi + 1e-9).all()
+        vi = _Vi(g)
+        z = vi.join(sol.u_star, sol.x_star)
+        assert np.abs(vi.M @ z - vi.c).max() < 1e-8
+        assert (z >= vi.lo - 1e-9).all() and (z <= vi.hi + 1e-9).all()
 
 
 class TestProjector:
     def test_idempotent_on_feasible_point(self, ref_game, ref_solution):
-        g = ref_game
-        zl, M, c = _affine_rows(g)
-        lo, hi = _box_bounds(g, zl)
-        proj = FeasibleSetProjector(M, c, lo, hi)
-        z = zl.join(ref_solution.u_star, ref_solution.x_star)
+        vi = _Vi(ref_game)
+        proj = FeasibleSetProjector(vi.M, vi.c, vi.lo, vi.hi)
+        z = vi.join(ref_solution.u_star, ref_solution.x_star)
         assert np.abs(proj.project(z) - z).max() < 1e-10
 
     def test_projection_feasible(self, ref_game):
-        g = ref_game
-        zl, M, c = _affine_rows(g)
-        lo, hi = _box_bounds(g, zl)
-        proj = FeasibleSetProjector(M, c, lo, hi)
+        vi = _Vi(ref_game)
+        proj = FeasibleSetProjector(vi.M, vi.c, vi.lo, vi.hi)
         rng = np.random.default_rng(9)
-        z = proj.project(rng.normal(scale=500, size=zl.size))
-        assert (z >= lo - 1e-9).all() and (z <= hi + 1e-9).all()
-        assert np.abs(M @ z - c).max() < 1e-8
+        z = proj.project(rng.normal(scale=500, size=vi.size))
+        assert (z >= vi.lo - 1e-9).all() and (z <= vi.hi + 1e-9).all()
+        assert np.abs(vi.M @ z - vi.c).max() < 1e-8
 
 
 class TestOneBoxDescription:
@@ -287,8 +334,7 @@ class TestOneBoxDescription:
         assert np.array_equal(loop.phi, b.hi)
         assert np.array_equal(loop.force, b.force)
 
-        zl = oracle._ZLayout(g)
-        lo, hi = _box_bounds(g, zl)
+        vi = _Vi(g)
         caps = []
         face_solve = oracle._face_solve
 
@@ -300,8 +346,8 @@ class TestOneBoxDescription:
         eq = closed_loop_equilibrium(g, ref_cp)
         boxed = np.zeros(g.layout.size, dtype=bool)
         boxed[b.pos] = True
-        for arr, inside in ((lo, b.lo), (hi, b.hi), (caps[0], b.force)):
-            u_part, x_part = zl.split(arr)
+        for arr, inside in ((vi.lo, b.lo), (vi.hi, b.hi), (caps[0], b.force)):
+            u_part, x_part = vi.split(arr)
             assert np.isinf(u_part).all() and np.isinf(x_part[~boxed]).all()
             assert np.array_equal(x_part[b.pos], inside)
         assert len(eq.regimes) == b.pos.size

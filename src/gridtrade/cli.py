@@ -5,8 +5,8 @@ Subcommands: ``simulate`` (closed-loop run with CSV/JSON outputs),
 ``equilibrium`` (centralized solve with multiplier recovery),
 ``reduced`` (quasi-steady-state model run).
 
-Exit codes: 0 ok, 1 validation failure, 2 runtime failure,
-3 acceptance-check failure.
+Exit codes: 0 ok, 1 validation failure or unwritable output (checked
+before the run), 2 runtime failure, 3 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ def _cmd_validate(args):
 
 def _cmd_equilibrium(args):
     scn = _load(args.scenario)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     g = scn.games[0]
     sol = solve_vi(g)
     rec = sol.recovery
@@ -139,7 +141,6 @@ def _cmd_equilibrium(args):
         print(f"method: {sol.method}  iterations: {sol.iterations}  "
               f"residual: {sol.residual:.2e}  converged: {sol.converged}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "equilibrium.json"), "w") as f:
             json.dump(out, f, indent=2)
             f.write("\n")
@@ -187,6 +188,9 @@ def main(argv=None):
             return _cmd_equilibrium(args)
     except SystemExit as e:
         return e.code
+    except OSError as e:
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 1
     return 2
 
 

@@ -9,7 +9,8 @@ auxiliary consensus multipliers and a local-equality multiplier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,10 +35,11 @@ class ControllerParams:
 
 @dataclass
 class ControllerState:
-    """Stacked controller state.
+    """Stacked controller state: the blocks below, in the order of the
+    flat vector, with the shapes :meth:`shapes` gives.
 
-    upsilon, nu, u, gamma: (n,); xhat: agent-major (2n+m,);
-    lam, theta: (n, n+m) with row i belonging to agent i.
+    xhat is agent-major (the game's ``layout``); row i of lam and theta
+    belongs to agent i.
     """
 
     upsilon: np.ndarray
@@ -49,36 +51,35 @@ class ControllerState:
     gamma: np.ndarray
 
     def __post_init__(self):
-        for name in ("upsilon", "nu", "u", "xhat", "gamma"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        self.lam = np.asarray(self.lam, dtype=float)
-        self.theta = np.asarray(self.theta, dtype=float)
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+
+    @classmethod
+    def shapes(cls, g: GameDefinition) -> dict:
+        """Block name -> shape in the game ``g``, in field order."""
+        n, m = g.n, g.m
+        return dict(zip((f.name for f in fields(cls)), (
+            (n,), (n,), (n,), (2 * n + m,), (n, n + m), (n, n + m), (n,))))
 
     @classmethod
     def zeros(cls, g: GameDefinition):
-        n, m = g.n, g.m
-        return cls(np.zeros(n), np.zeros(n), np.zeros(n),
-                   np.zeros(2 * n + m), np.zeros((n, n + m)),
-                   np.zeros((n, n + m)), np.zeros(n))
+        return cls(**{k: np.zeros(s) for k, s in cls.shapes(g).items()})
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.upsilon, self.nu, self.u, self.xhat,
-                               self.lam.ravel(), self.theta.ravel(), self.gamma])
+        return np.concatenate([getattr(self, f.name).ravel()
+                               for f in fields(self)])
 
     @classmethod
     def from_vector(cls, y, g: GameDefinition):
-        n, m = g.n, g.m
-        sizes = [n, n, n, 2 * n + m, n * (n + m), n * (n + m), n]
-        parts = np.split(np.asarray(y, dtype=float), np.cumsum(sizes)[:-1])
-        return cls(parts[0], parts[1], parts[2], parts[3],
-                   parts[4].reshape(n, n + m), parts[5].reshape(n, n + m),
-                   parts[6])
+        shapes = cls.shapes(g)
+        parts = np.split(np.asarray(y, dtype=float),
+                         np.cumsum([math.prod(s) for s in shapes.values()])[:-1])
+        return cls(**{k: p.reshape(s)
+                      for (k, s), p in zip(shapes.items(), parts)})
 
     def copy(self):
-        return ControllerState(self.upsilon.copy(), self.nu.copy(),
-                               self.u.copy(), self.xhat.copy(),
-                               self.lam.copy(), self.theta.copy(),
-                               self.gamma.copy())
+        return ControllerState(**{f.name: getattr(self, f.name).copy()
+                                  for f in fields(self)})
 
     @property
     def size(self):

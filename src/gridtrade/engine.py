@@ -22,7 +22,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .game import (GameDefinition, ObjectiveWeights, PenaltyParams,
                    PriceParams, build_game, check_price_margin,
                    check_monotonicity)
 from .integrate import IntegratorConfig, Trajectory, grid_errors, run_eras
-from .oracle import lyapunov_diagnostics, reduced_model_rhs, solve_vi
+from .oracle import lyapunov_diagnostics, solve_vi
 from .plant import (DguParams, LineParams, PlantParams, PlantState,
                     apply_load_step, plant_rhs)
 from .pwa import PiecewiseAffineFlow
@@ -142,8 +142,8 @@ def _record(cls, node, where, errors, names=None, **known):
 
 
 def _blocks(node, zero, where, errors):
-    """The blocks of the JSON object ``node`` as flat float arrays, named
-    and sized as the array fields of the state ``zero``; an undeclared
+    """The blocks of the JSON object ``node`` as float arrays, named and
+    shaped as the array fields of the state ``zero``; an undeclared
     block, an unreadable value or a wrong size goes in ``errors``."""
     blocks = {}
     for key, val in node.items():
@@ -156,11 +156,11 @@ def _blocks(node, zero, where, errors):
         except (ValueError, TypeError) as e:
             errors.append(f"{where}.{key}: {e}")
             continue
-        size = getattr(zero, key).size
-        if arr.size == size:
-            blocks[key] = arr
+        like = getattr(zero, key)
+        if arr.size == like.size:
+            blocks[key] = arr.reshape(like.shape)
         else:
-            errors.append(f"{where}.{key}: expected {size} values, got "
+            errors.append(f"{where}.{key}: expected {like.size} values, got "
                           f"{arr.size}")
     return blocks
 
@@ -347,48 +347,70 @@ class Scenario:
                           self.penalties, comm_topo=self.comm_topo)
 
 
-class ClosedLoop:
+class StateLayout:
+    """The flat closed-loop state of game ``g``: the plant's blocks,
+    then the controller's, each in its class's field order.  The reduced
+    model leaves out upsilon and nu and holds them at their quasi-steady
+    values (:func:`controller.fast_equilibrium`).
+
+    ``plant`` and ``ctrl`` map each block's name to its slice, ``shapes``
+    to its shape; ``psrc`` are the penalized rows.  A scenario's load
+    eras share one layout: it reads only sizes, topologies and boxes.
+    """
+
+    def __init__(self, g: GameDefinition, reduced: bool = False):
+        self.g, self.reduced = g, reduced
+        self.plant, self.ctrl, self.shapes = {}, {}, {}
+        start = 0
+        for blocks, zero in ((self.plant, PlantState.zeros(g.n, g.m)),
+                             (self.ctrl, ControllerState.zeros(g))):
+            for f in fields(zero):
+                if not (reduced and f.name in ("upsilon", "nu")):
+                    a = getattr(zero, f.name)
+                    blocks[f.name] = slice(start, start + a.size)
+                    self.shapes[f.name] = a.shape
+                    start += a.size
+        self.size = start
+        self.psrc = (self.ctrl["xhat"].start + g.boxes.pos).astype(np.int64)
+
+    def pack(self, plant: PlantState, cs: ControllerState) -> np.ndarray:
+        """The flat state of ``plant`` and ``cs``."""
+        return np.concatenate([getattr(plant, k) for k in self.plant]
+                              + [getattr(cs, k).ravel() for k in self.ctrl])
+
+    def unpack(self, y):
+        """Plant and controller states of the flat state ``y``, as views
+        into it apart from the reduced model's upsilon and nu."""
+        plant, ctrl = ({k: y[s].reshape(self.shapes[k])
+                        for k, s in blocks.items()}
+                       for blocks in (self.plant, self.ctrl))
+        if self.reduced:
+            ctrl["upsilon"], ctrl["nu"] = fast_equilibrium(
+                ctrl["xhat"][self.g.layout.ix_I], self.g.comm_topo)
+        return PlantState(**plant), ControllerState(**ctrl)
+
+
+class ClosedLoop(StateLayout):
     """Stacked grid + controller system in one flat vector.
 
-    Layout: plant (I, V, I_l) followed by the controller vector.  The
-    dynamics are affine in the state except for the penalty branches on
-    the decision copies of voltages and line currents, so the system is
-    represented as ``M y + c`` plus a sparse piecewise correction, probed
-    exactly from the reference right-hand side.
+    The dynamics are affine in the state except for the penalty branches
+    on the decision copies of voltages and line currents, so the system
+    is represented as ``M y + c`` plus a sparse piecewise correction,
+    probed exactly from the reference right-hand side.
     """
 
     def __init__(self, g: GameDefinition, cp: ControllerParams,
                  reduced: bool = False):
-        self.g = g
+        super().__init__(g, reduced)
         self.cp = cp
-        self.reduced = reduced
-        n, m = g.n, g.m
-        self.size = _pack(PlantState.zeros(n, m), ControllerState.zeros(g),
-                          reduced).size
-        # the penalized entries are the boxes' positions in the decision copy
-        xhat = 2 * n + m + (n if reduced else 3 * n)
-        self.psrc = (xhat + g.boxes.pos).astype(np.int64)
         self.plo, self.phi, self.force = g.boxes.lo, g.boxes.hi, g.boxes.force
         self._assemble()
-
-    # -- packing ---------------------------------------------------------
-    def pack(self, plant: PlantState, cs: ControllerState) -> np.ndarray:
-        return _pack(plant, cs, self.reduced)
-
-    def unpack(self, y):
-        return _unpack(y, self.g, self.reduced)
 
     # -- reference (readable) dynamics ------------------------------------
     def rhs_reference(self, y):
         plant, cs = self.unpack(y)
-        d_plant = plant_rhs(plant, cs.u, self.g.plant, self.g.topo)
-        if self.reduced:
-            _, d_cs = reduced_model_rhs(plant, cs, self.g, self.cp)
-            d_vec = d_cs.to_vector()[2 * self.g.n:]
-        else:
-            d_cs = controller_rhs(cs, plant.I, self.g, self.cp)
-            d_vec = d_cs.to_vector()
-        return np.concatenate([d_plant.to_vector(), d_vec])
+        return self.pack(plant_rhs(plant, cs.u, self.g.plant, self.g.topo),
+                         controller_rhs(cs, plant.I, self.g, self.cp))
 
     # -- affine + penalty representation -----------------------------------
     def _assemble(self):
@@ -414,28 +436,6 @@ class ClosedLoop:
         return _kernels.rk4_affine(self.M, self.c, y, self.psrc, self.plo,
                                    self.phi, self.force, dt, steps,
                                    sample_every, out)
-
-
-def _pack(plant: PlantState, cs: ControllerState, reduced) -> np.ndarray:
-    """Flat closed-loop state; the reduced model drops upsilon and nu."""
-    cv = cs.to_vector()
-    if reduced:
-        cv = cv[2 * cs.upsilon.size:]
-    return np.concatenate([plant.to_vector(), cv])
-
-
-def _unpack(y, g: GameDefinition, reduced):
-    """Plant and controller states of a flat closed-loop state of game
-    ``g``; the reduced model's upsilon and nu are their quasi-steady
-    values."""
-    n, m = g.n, g.m
-    plant = PlantState.from_vector(y[:2 * n + m], n, m)
-    cv = y[2 * n + m:]
-    if reduced:
-        ups, nu = fast_equilibrium(cv[n:n + 2 * n + m][g.layout.ix_I],
-                                   g.comm_topo)
-        cv = np.concatenate([ups, nu, cv])
-    return plant, ControllerState.from_vector(cv, g)
 
 
 @dataclass
@@ -477,27 +477,25 @@ KKT_THRESHOLD = 1e-3
 _DIAG_COLUMNS = ("kkt_max", "kkt_line1", "kkt_line2", "kkt_line3", "kkt_line4",
                  "kkt_line5", "kkt_line6", "kkt_line7", "upsilon_spread",
                  "rlambda_spread", "E_b", "E_r", "V_violation", "Il_violation")
+_CSV_NAMES = {"I_l": "Il", "lam": "lambda"}     # blocks the CSV renames
 
 
 def csv_header(g: GameDefinition, reduced=False):
-    n, m = g.n, g.m
+    """Time, the flat state's entries by 1-based index (xhat's by agent
+    and entry), then the diagnostics."""
+    lay = StateLayout(g, reduced)
     cols = ["time"]
-    cols += [f"plant.I.{i}" for i in range(1, n + 1)]
-    cols += [f"plant.V.{i}" for i in range(1, n + 1)]
-    cols += [f"plant.Il.{k}" for k in range(1, m + 1)]
-    if not reduced:
-        cols += [f"ctrl.upsilon.{i}" for i in range(1, n + 1)]
-        cols += [f"ctrl.nu.{i}" for i in range(1, n + 1)]
-    cols += [f"ctrl.u.{i}" for i in range(1, n + 1)]
-    lay = g.layout
-    for i in range(1, n + 1):
-        cols += [f"ctrl.xhat.{i}.{j}" for j in range(1, int(lay.dims[i - 1]) + 1)]
-    for name in ("lambda", "theta"):
-        for i in range(1, n + 1):
-            cols += [f"ctrl.{name}.{i}.{j}" for j in range(1, n + m + 1)]
-    cols += [f"ctrl.gamma.{i}" for i in range(1, n + 1)]
-    cols += [f"diag.{c}" for c in _DIAG_COLUMNS]
-    return cols
+    for prefix, blocks in (("plant", lay.plant), ("ctrl", lay.ctrl)):
+        for k in blocks:
+            if k == "xhat":
+                agent = g.layout.agent_of_pos
+                index = zip(agent, np.arange(agent.size)
+                            - g.layout.offsets[agent])
+            else:
+                index = np.ndindex(lay.shapes[k])
+            cols += [f"{prefix}.{_CSV_NAMES.get(k, k)}."
+                     + ".".join(str(i + 1) for i in ix) for ix in index]
+    return cols + [f"diag.{c}" for c in _DIAG_COLUMNS]
 
 
 def _stability_limit(lines):
@@ -509,9 +507,10 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
     """Simulate the scenario; returns (trajectory, diagnostics, report).
 
     Writes ``timeseries.csv`` and ``summary.json`` into ``outdir`` when
-    given.  ``reduced=True`` integrates the quasi-steady-state model
-    (no consensus-estimator states).  The time grid is checked again
-    before any solve: a replaced ``integrator`` was not checked on parsing.
+    given, making it before any solve.  ``reduced=True`` integrates the
+    quasi-steady-state model (upsilon and nu held quasi-steady).  The time
+    grid is checked again before any solve: a replaced ``integrator`` was
+    not checked on parsing.
     """
     import os
 
@@ -520,6 +519,8 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
     errors = grid_errors(cfg, times, _stability_limit(scenario.plant.lines))
     if errors:
         raise ScenarioError(errors)
+    if outdir is not None:
+        os.makedirs(outdir, exist_ok=True)
     games = scenario.games
     cp = scenario.controller
     solved = {}       # era -> solve_vi solution, shared with the export
@@ -528,19 +529,17 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
     g0 = games[0]
     if scenario.initial_plant == "equilibrium":
         solved[0] = solve_vi(g0)
-        I0, V0, Il0 = g0.layout.split(solved[0].x_star)
-        plant0 = PlantState(I0, V0, Il0)
+        plant0 = PlantState(*g0.layout.split(solved[0].x_star))
     elif scenario.initial_plant == "zeros":
         plant0 = PlantState.zeros(g0.n, g0.m)
     else:
         plant0 = scenario.initial_plant
     cs0 = ControllerState.zeros(g0)
     if isinstance(scenario.initial_controller, dict):
-        for key, val in scenario.initial_controller.items():
-            shape = getattr(cs0, key).shape
-            setattr(cs0, key, np.asarray(val, dtype=float).reshape(shape))
+        cs0 = replace(cs0, **scenario.initial_controller)
 
-    y = _pack(plant0, cs0, reduced)
+    lay = StateLayout(g0, reduced)
+    y = lay.pack(plant0, cs0)
 
     # Each era's dense operator is assembled when the era starts, and the
     # previous one is released first: one M (N^2 doubles) alive at a time.
@@ -565,11 +564,10 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
             return loop_of(era).flow().propagate(y, n_samples,
                                                  cfg.sample_period, cfg.dt)
     traj = run_eras(y, cfg, times, advance)
-    diag = _diagnostics(traj, games, cp, reduced)
-    report = _build_report(scenario, traj, diag, reduced)
+    diag = _diagnostics(traj, games, cp, lay)
+    report = _build_report(scenario, traj, diag, lay)
     if outdir is not None:
         report.equilibrium = _equilibrium_export(games, solved)
-        os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, "timeseries.csv"), traj, diag,
                   games[0], reduced=reduced)
         with open(os.path.join(outdir, "summary.json"), "w") as f:
@@ -578,11 +576,11 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
     return traj, diag, report
 
 
-def _diagnostics(traj: Trajectory, games, cp, reduced):
+def _diagnostics(traj: Trajectory, games, cp, lay: StateLayout):
     rows = np.zeros((traj.n_samples, len(_DIAG_COLUMNS)))
     for k in range(traj.n_samples):
         g = games[traj.epoch[k]]
-        plant, cs = _unpack(traj.y[k], g, reduced)
+        plant, cs = lay.unpack(traj.y[k])
         res = kkt_residual(cs, g, cp)
         ups_spread, lam_spread = consensus_errors(cs, g)
         E_b, E_r = lyapunov_diagnostics(plant, cs, g, cp)
@@ -634,15 +632,16 @@ def _convergence_time(t, kkt, threshold):
     return float(t[idx])
 
 
-def _build_report(scenario, traj, diag, reduced):
+def _build_report(scenario, traj, diag, lay: StateLayout):
     cfg, games, cp = scenario.integrator, scenario.games, scenario.controller
+    col = dict(zip(_DIAG_COLUMNS, diag.T))
     seg_bounds = [0.0] + [ev.time for ev in scenario.events] + [cfg.t_end]
     conv = []
     for e in range(len(games)):
         mask = traj.epoch == e
         conv.append({
             "segment": [seg_bounds[e], seg_bounds[e + 1]],
-            "time": _convergence_time(traj.t[mask], diag[mask, 0],
+            "time": _convergence_time(traj.t[mask], col["kkt_max"][mask],
                                       KKT_THRESHOLD),
         })
     margins = {}
@@ -652,23 +651,18 @@ def _build_report(scenario, traj, diag, reduced):
             "monotonicity": list(check_monotonicity(g.weights, g.price.p_r,
                                                    g.plant.V_ref)),
         }
-    n, m = games[0].n, games[0].m
-    conservation = {"nu_drift": 0.0, "theta_drift": 0.0}
-    if traj.n_samples > 1 and not reduced:
-        npl = 2 * n + m
-        nu_sums = traj.y[:, npl + n:npl + 2 * n].sum(axis=1)
-        th_start = npl + 3 * n + (2 * n + m) + n * (n + m)
-        th = traj.y[:, th_start:th_start + n * (n + m)]
-        th_sums = th.reshape(len(traj.t), n, -1).sum(axis=1)
-        tline = np.maximum(traj.t, 1.0)
-        conservation["nu_drift"] = float(
-            (np.abs(nu_sums - nu_sums[0]) / tline).max())
-        conservation["theta_drift"] = float(
-            (np.abs(th_sums - th_sums[0]).max(axis=1) / tline).max())
-    final = {name: float(v) for name, v in zip(_DIAG_COLUMNS, diag[-1])}
+    # per-second drift of the agent sums the dynamics conserve
+    conservation = {"nu_drift": None, "theta_drift": 0.0}
+    for k in ("nu", "theta"):
+        if k in lay.ctrl:
+            sums = traj.y[:, lay.ctrl[k]].reshape(
+                traj.n_samples, *lay.shapes[k]).sum(axis=1)
+            drift = np.abs(sums - sums[0]).reshape(traj.n_samples, -1)
+            conservation[f"{k}_drift"] = float(
+                (drift.max(axis=1) / np.maximum(traj.t, 1.0)).max())
+    final = {k: float(v[-1]) for k, v in col.items()}
     pre_mask = traj.epoch == 0
-    pre_final = {name: float(v)
-                 for name, v in zip(_DIAG_COLUMNS, diag[pre_mask][-1])} \
+    pre_final = {k: float(v[pre_mask][-1]) for k, v in col.items()} \
         if pre_mask.any() else {}
     report = RunReport(
         scenario=scenario.name,
@@ -678,10 +672,10 @@ def _build_report(scenario, traj, diag, reduced):
                    "rlambda_spread": final["rlambda_spread"]},
         convergence_times=conv,
         assumption_margins=margins,
-        violations={"V_max": float(diag[:, -2].max()),
-                    "Il_max": float(diag[:, -1].max())},
-        lyapunov={"E_b_first": float(diag[0, -4]), "E_b_last": float(diag[-1, -4]),
-                  "E_r_first": float(diag[0, -3]), "E_r_last": float(diag[-1, -3])},
+        violations={"V_max": float(col["V_violation"].max()),
+                    "Il_max": float(col["Il_violation"].max())},
+        lyapunov={f"{k}_{at}": float(col[k][i]) for k in ("E_b", "E_r")
+                  for at, i in (("first", 0), ("last", -1))},
         conservation=conservation,
         flags={
             "price_parameters": {"l": scenario.price.l, "p_r": scenario.price.p_r,
@@ -706,8 +700,8 @@ def _build_report(scenario, traj, diag, reduced):
         and final["V_violation"] <= 1e-6 and final["Il_violation"] <= 1e-6)
     checks["upsilon_consensus"] = final["upsilon_spread"] < 1e-4
     checks["lambda_consensus"] = final["rlambda_spread"] < 1e-4
-    checks["conservation"] = (conservation["nu_drift"] < 1e-9
-                              and conservation["theta_drift"] < 1e-9)
+    checks["conservation"] = all(v < 1e-9 for v in conservation.values()
+                                 if v is not None)
     return report
 
 

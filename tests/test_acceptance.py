@@ -42,7 +42,7 @@ import numpy as np
 import pytest
 
 import gridtrade as gt
-from gridtrade.engine import ClosedLoop, Scenario, run_scenario
+from gridtrade.engine import ClosedLoop, Scenario, StateLayout, run_scenario
 from gridtrade.game import cost, pseudo_gradient, subgradient_selection, \
     penalty_subgradient
 from gridtrade.integrate import IntegratorConfig
@@ -157,9 +157,11 @@ class TestAcceptance:
 
     def test_ac6_singular_perturbation(self):
         def slow_coords(traj, reduced):
-            if reduced:
-                return traj.y
-            return np.hstack([traj.y[:, :12], traj.y[:, 20:]])
+            """The reduced model's blocks, read through either layout."""
+            lay, slow = (StateLayout(red.game(), r) for r in (reduced, True))
+            at = {**lay.plant, **lay.ctrl}
+            return np.hstack([traj.y[:, at[k]]
+                              for k in {**slow.plant, **slow.ctrl}])
 
         base = dict(integrator={"method": "rk4", "dt": "1e-5 s",
                                 "t_end": "1 s"}, events=[],

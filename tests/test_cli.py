@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gridtrade import cli, engine
 from gridtrade.cli import main
 from gridtrade.engine import Scenario, ScenarioError
 from gridtrade.oracle import game_map_matrix
@@ -229,3 +230,22 @@ class TestReduced:
         rc = main(["reduced", short_scenario, "--out", str(tmp_path / "red")])
         assert rc == 0
         assert (tmp_path / "red" / "timeseries.csv").exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["simulate", "reduced", "equilibrium"])
+    def test_exits_1_before_the_run(self, command, short_scenario, tmp_path,
+                                    monkeypatch, capsys):
+        """An ``--out`` that names a file fails before any solve or
+        propagation, with a message instead of a traceback."""
+        def started(*args, **kwargs):
+            pytest.fail("the run started despite an unwritable --out")
+
+        for owner in (engine, cli):
+            monkeypatch.setattr(owner, "solve_vi", started)
+        monkeypatch.setattr(engine, "run_eras", started)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main([command, short_scenario, "--out", str(taken)])
+        assert rc == 1
+        assert "error: cannot write output:" in capsys.readouterr().err

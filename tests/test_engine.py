@@ -375,11 +375,43 @@ class TestClosedLoopAssembly:
 
     def test_pack_unpack_roundtrip(self, ref_scenario):
         g = ref_scenario.game()
-        loop = ClosedLoop(g, ref_scenario.controller)
         rng = np.random.default_rng(35)
-        y = rng.normal(size=loop.size)
-        plant, cs = loop.unpack(y)
-        assert np.array_equal(loop.pack(plant, cs), y)
+        for reduced in (False, True):
+            loop = ClosedLoop(g, ref_scenario.controller, reduced=reduced)
+            y = rng.normal(size=loop.size)
+            plant, cs = loop.unpack(y)
+            assert np.array_equal(loop.pack(plant, cs), y)
+
+
+class TestStateLayout:
+    # each block's CSV prefix, spelt out independently of the engine
+    CSV = {"I": "plant.I.", "V": "plant.V.", "I_l": "plant.Il.",
+           "upsilon": "ctrl.upsilon.", "nu": "ctrl.nu.", "u": "ctrl.u.",
+           "xhat": "ctrl.xhat.", "lam": "ctrl.lambda.",
+           "theta": "ctrl.theta.", "gamma": "ctrl.gamma."}
+
+    @pytest.mark.parametrize("reduced", [False, True],
+                             ids=["full", "reduced"])
+    def test_block_slices_index_csv_columns(self, ref_game, reduced):
+        """Each block's slice, shifted by the time column, picks exactly
+        the CSV columns of that block, and unpacking reads that slice."""
+        lay = engine.StateLayout(ref_game, reduced)
+        header = csv_header(ref_game, reduced)
+        blocks = {**lay.plant, **lay.ctrl}
+        assert list(blocks) == [k for k in self.CSV if not (
+            reduced and k in ("upsilon", "nu"))]
+        for k, s in blocks.items():
+            assert header[s.start + 1:s.stop + 1] == [
+                c for c in header if c.startswith(self.CSV[k])]
+        assert lay.size == len(header) - 1 - len(engine._DIAG_COLUMNS)
+        assert header[lay.ctrl["theta"].start + 1] == "ctrl.theta.1.1"
+        assert any(c.startswith("ctrl.upsilon.") for c in header) \
+            == (not reduced)
+        y = np.arange(float(lay.size))
+        plant, cs = lay.unpack(y)
+        for k, s in blocks.items():
+            state = plant if k in lay.plant else cs
+            assert np.array_equal(getattr(state, k).ravel(), y[s])
 
 
 class TestRunScenario:
@@ -648,6 +680,46 @@ class TestReducedRun:
         header = (tmp_path / "timeseries.csv").read_text().splitlines()[0]
         assert len(header.split(",")) == 1 + 12 + 84 + 14
         assert np.isfinite(traj.y).all()
+
+    @pytest.fixture(scope="class")
+    def reduced_run(self, tmp_path_factory):
+        """A reduced ring4 run across a load step, with its outputs."""
+        out = tmp_path_factory.mktemp("reduced")
+        scn = Scenario.from_dict(ring4_dict(
+            integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.05 s"},
+            events=[{"time": "0.025 s", "d_IL": "3 A", "d_ZL": "3 Ohm"}]))
+        return scn, out, run_scenario(scn, outdir=str(out), reduced=True)
+
+    def test_theta_drift_measured(self, reduced_run):
+        """theta_drift is the per-second drift of theta's column sums,
+        recomputed here from the CSV; the reduced state has no nu."""
+        _, out, (traj, _, report) = reduced_run
+        lines = (out / "timeseries.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = np.array([[float(v) for v in ln.split(",")]
+                         for ln in lines[1:]])
+        cols = [j for j, c in enumerate(header)
+                if c.startswith("ctrl.theta.")]
+        theta = rows[:, cols].reshape(len(rows), 4, 8)
+        sums = theta[:, 0] + theta[:, 1] + theta[:, 2] + theta[:, 3]
+        drift = np.abs(sums - sums[0]).max(axis=1) \
+            / np.maximum(rows[:, 0], 1.0)
+        cons = report.conservation
+        assert cons["theta_drift"] == drift.max()
+        assert 0.0 < cons["theta_drift"] < 1e-9
+        assert cons["nu_drift"] is None
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["conservation"]["nu_drift"] is None
+        assert summary["checks"]["conservation"]
+
+    def test_perturbed_theta_fails_conservation(self, reduced_run):
+        scn, _, (traj, diag, _) = reduced_run
+        lay = engine.StateLayout(scn.game(), reduced=True)
+        y = traj.y.copy()
+        y[-1, lay.ctrl["theta"].start] += 1e-6
+        report = engine._build_report(scn, replace(traj, y=y), diag, lay)
+        assert report.conservation["theta_drift"] > 1e-9
+        assert report.checks["conservation"] is False
 
 
 class TestFastSettlingScalesWithEps:

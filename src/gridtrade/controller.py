@@ -10,12 +10,14 @@ auxiliary consensus multipliers and a local-equality multiplier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .game import GameDefinition, local_gradient, local_gradient_interval
-from .topology import laplacian, laplacian_pinv
+from .plant import PlantState, plant_rhs
+from .topology import MicrogridTopology, laplacian, laplacian_pinv
 
 
 @dataclass(frozen=True)
@@ -76,10 +78,6 @@ class ControllerState:
                          np.cumsum([math.prod(s) for s in shapes.values()])[:-1])
         return cls(**{k: p.reshape(s)
                       for (k, s), p in zip(shapes.items(), parts)})
-
-    def copy(self):
-        return ControllerState(**{f.name: getattr(self, f.name).copy()
-                                  for f in fields(self)})
 
     @property
     def size(self):
@@ -189,3 +187,46 @@ def consensus_errors(cs: ControllerState, g: GameDefinition):
     rl = g.weights.r[:, None] * cs.lam
     lam_spread = float((rl.max(0) - rl.min(0)).max())
     return ups_spread, lam_spread
+
+
+@lru_cache(maxsize=64)
+def boundary_layer_energy_matrix(topo: MicrogridTopology) -> np.ndarray:
+    """Quadratic form of the estimator-error energy on the communication
+    graph ``topo``; PSD by construction, computed once per graph and
+    read-only."""
+    Lap = laplacian(topo)
+    n = topo.n
+    sigma = float(np.linalg.norm(Lap, 2))
+    Q = sigma * np.eye(2 * n)
+    Q[:n, :n] += 0.5 * (np.eye(n) + Lap)
+    Q[:n, n:] += 0.5 * Lap
+    Q[n:, :n] += 0.5 * Lap
+    Q.flags.writeable = False
+    return Q
+
+
+def lyapunov_diagnostics(plant_state: PlantState, cs: ControllerState,
+                         g: GameDefinition, cp: ControllerParams):
+    """Energy pair (E_b, E_r) certifying a sampled closed-loop state.
+
+    E_b measures the consensus estimator's distance from quasi-steady
+    state through a fixed PSD form; E_r combines the grid's derivative
+    energy with the squared residual of the slow rows (u, xhat, lam,
+    theta, gamma) with the estimator at quasi-steady state, the reduced
+    model of the singular-perturbation argument.
+    """
+    ups_star, nu_star = fast_equilibrium(cs.xhat[g.layout.ix_I], g.comm_topo)
+    s_b = np.concatenate([cs.upsilon - ups_star, cs.nu - nu_star])
+    Q = boundary_layer_energy_matrix(g.comm_topo)
+    E_b = float(s_b @ (Q @ s_b))
+
+    d_plant = plant_rhs(plant_state, cs.u, g.plant, g.topo)
+    d = controller_rhs(replace(cs, upsilon=ups_star), plant_state.I, g, cp)
+    p = g.plant
+    deriv_energy = 0.5 * (d_plant.I @ (p.L * d_plant.I)
+                          + d_plant.I_l @ (p.L_l * d_plant.I_l)
+                          + d_plant.V @ (p.C * d_plant.V))
+    g_d = np.concatenate([d.u, d.xhat, d.lam.ravel(), d.theta.ravel(),
+                          d.gamma])
+    E_r = float(deriv_energy + (0.5 / cp.eps_u) * (g_d @ g_d))
+    return E_b, E_r

@@ -28,12 +28,13 @@ import numpy as np
 
 from . import _kernels
 from .controller import (ControllerParams, ControllerState, consensus_errors,
-                         controller_rhs, fast_equilibrium, kkt_residual)
+                         controller_rhs, fast_equilibrium, kkt_residual,
+                         lyapunov_diagnostics)
 from .game import (GameDefinition, ObjectiveWeights, PenaltyParams,
                    PriceParams, build_game, check_price_margin,
                    check_monotonicity)
 from .integrate import IntegratorConfig, Trajectory, grid_errors, run_eras
-from .oracle import lyapunov_diagnostics, solve_vi
+from .oracle import solve_vi
 from .plant import (DguParams, LineParams, PlantParams, PlantState,
                     apply_load_step, plant_rhs)
 from .pwa import PiecewiseAffineFlow
@@ -438,45 +439,12 @@ class ClosedLoop(StateLayout):
                                    sample_every, out)
 
 
-@dataclass
-class RunReport:
-    """Summary of one simulation run; every number comes from a sample."""
-
-    scenario: str
-    kkt_threshold: float
-    final_kkt: dict
-    consensus: dict
-    convergence_times: list
-    assumption_margins: dict
-    violations: dict
-    lyapunov: dict
-    conservation: dict
-    flags: dict
-    checks: dict
-    config: dict
-    equilibrium: dict = None
-
-    def to_dict(self):
-        return {
-            "scenario": self.scenario,
-            "residuals": self.final_kkt,
-            "consensus": self.consensus,
-            "convergence_times": self.convergence_times,
-            "margins": self.assumption_margins,
-            "violations": self.violations,
-            "lyapunov": self.lyapunov,
-            "conservation": self.conservation,
-            "flags": self.flags,
-            "checks": self.checks,
-            "config": self.config,
-            "equilibrium": self.equilibrium or {},
-        }
-
-
 KKT_THRESHOLD = 1e-3
 _DIAG_COLUMNS = ("kkt_max", "kkt_line1", "kkt_line2", "kkt_line3", "kkt_line4",
                  "kkt_line5", "kkt_line6", "kkt_line7", "upsilon_spread",
                  "rlambda_spread", "E_b", "E_r", "V_violation", "Il_violation")
+# the estimator's columns, 0 by construction in the reduced model
+_ESTIMATOR_COLUMNS = ("kkt_line1", "kkt_line2", "upsilon_spread", "E_b")
 _CSV_NAMES = {"I_l": "Il", "lam": "lambda"}     # blocks the CSV renames
 
 
@@ -504,13 +472,15 @@ def _stability_limit(lines):
 
 
 def run_scenario(scenario: Scenario, outdir=None, reduced=False):
-    """Simulate the scenario; returns (trajectory, diagnostics, report).
+    """Simulate the scenario; returns (trajectory, diagnostics, report),
+    the report being the tree ``summary.json`` holds.
 
     Writes ``timeseries.csv`` and ``summary.json`` into ``outdir`` when
-    given, making it before any solve.  ``reduced=True`` integrates the
-    quasi-steady-state model (upsilon and nu held quasi-steady).  The time
-    grid is checked again before any solve: a replaced ``integrator`` was
-    not checked on parsing.
+    given, making it before any solve; only then does the report carry
+    the centralized ``equilibrium`` of each era.  ``reduced=True``
+    integrates the quasi-steady-state model (upsilon and nu held
+    quasi-steady).  The time grid is checked again before any solve: a
+    replaced ``integrator`` was not checked on parsing.
     """
     import os
 
@@ -567,11 +537,11 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
     diag = _diagnostics(traj, games, cp, lay)
     report = _build_report(scenario, traj, diag, lay)
     if outdir is not None:
-        report.equilibrium = _equilibrium_export(games, solved)
+        report["equilibrium"] = _equilibrium_export(games, solved)
         write_csv(os.path.join(outdir, "timeseries.csv"), traj, diag,
                   games[0], reduced=reduced)
         with open(os.path.join(outdir, "summary.json"), "w") as f:
-            json.dump(report.to_dict(), f, indent=2, sort_keys=True)
+            json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
     return traj, diag, report
 
@@ -633,8 +603,12 @@ def _convergence_time(t, kkt, threshold):
 
 
 def _build_report(scenario, traj, diag, lay: StateLayout):
+    """The tree ``summary.json`` holds, ``equilibrium`` left empty.  A
+    reduced run gives its estimator columns (``_ESTIMATOR_COLUMNS``) and
+    the check on them as None: they are 0 there by construction."""
     cfg, games, cp = scenario.integrator, scenario.games, scenario.controller
-    col = dict(zip(_DIAG_COLUMNS, diag.T))
+    col = {k: None if lay.reduced and k in _ESTIMATOR_COLUMNS else v
+           for k, v in zip(_DIAG_COLUMNS, diag.T)}
     seg_bounds = [0.0] + [ev.time for ev in scenario.events] + [cfg.t_end]
     conv = []
     for e in range(len(games)):
@@ -660,49 +634,52 @@ def _build_report(scenario, traj, diag, lay: StateLayout):
             drift = np.abs(sums - sums[0]).reshape(traj.n_samples, -1)
             conservation[f"{k}_drift"] = float(
                 (drift.max(axis=1) / np.maximum(traj.t, 1.0)).max())
-    final = {k: float(v[-1]) for k, v in col.items()}
-    pre_mask = traj.epoch == 0
-    pre_final = {k: float(v[pre_mask][-1]) for k, v in col.items()} \
-        if pre_mask.any() else {}
-    report = RunReport(
-        scenario=scenario.name,
-        kkt_threshold=KKT_THRESHOLD,
-        final_kkt={"final": final, "pre_event_final": pre_final},
-        consensus={"upsilon_spread": final["upsilon_spread"],
-                   "rlambda_spread": final["rlambda_spread"]},
-        convergence_times=conv,
-        assumption_margins=margins,
-        violations={"V_max": float(col["V_violation"].max()),
-                    "Il_max": float(col["Il_violation"].max())},
-        lyapunov={f"{k}_{at}": float(col[k][i]) for k in ("E_b", "E_r")
-                  for at, i in (("first", 0), ("last", -1))},
-        conservation=conservation,
-        flags={
+
+    def row(i):
+        return {k: None if v is None else float(v[i]) for k, v in col.items()}
+
+    first, final = row(0), row(-1)
+    pre = np.flatnonzero(traj.epoch == 0)
+    pre_final = row(pre[-1]) if pre.size else {}
+    ups = final["upsilon_spread"]
+    return {
+        "scenario": scenario.name,
+        "residuals": {"final": final, "pre_event_final": pre_final},
+        "consensus": {"upsilon_spread": ups,
+                      "rlambda_spread": final["rlambda_spread"]},
+        "convergence_times": conv,
+        "margins": margins,
+        "violations": {"V_max": float(col["V_violation"].max()),
+                       "Il_max": float(col["Il_violation"].max())},
+        "lyapunov": {f"{k}_{at}": r[k] for k in ("E_b", "E_r")
+                     for at, r in (("first", first), ("last", final))},
+        "conservation": conservation,
+        "flags": {
             "price_parameters": {"l": scenario.price.l, "p_r": scenario.price.p_r,
                                  "note": "base price l, sensitivity p_r"},
             "load_step_semantics":
                 "Z_L and I_L reduced by the configured absolute amounts",
             "u_ref_nonzero": bool(np.any(scenario.plant.u_ref != 0.0)),
         },
-        checks={},
-        config={"dt": cfg.dt, "t_end": cfg.t_end, "method": cfg.method,
-                "sample_period": cfg.sample_period,
-                "eps_fast": cp.eps_fast, "eps_u": cp.eps_u,
-                "events": [[ev.time, ev.d_IL, ev.d_ZL]
-                           for ev in scenario.events]},
-    )
-    checks = report.checks
-    checks["converged_all_segments"] = all(
-        c["time"] is not None for c in conv)
-    checks["boxes_at_equilibria"] = bool(
-        pre_final.get("V_violation", 1.0) <= 1e-6
-        and pre_final.get("Il_violation", 1.0) <= 1e-6
-        and final["V_violation"] <= 1e-6 and final["Il_violation"] <= 1e-6)
-    checks["upsilon_consensus"] = final["upsilon_spread"] < 1e-4
-    checks["lambda_consensus"] = final["rlambda_spread"] < 1e-4
-    checks["conservation"] = all(v < 1e-9 for v in conservation.values()
-                                 if v is not None)
-    return report
+        "checks": {
+            "converged_all_segments": all(c["time"] is not None for c in conv),
+            "boxes_at_equilibria": bool(
+                pre_final.get("V_violation", 1.0) <= 1e-6
+                and pre_final.get("Il_violation", 1.0) <= 1e-6
+                and final["V_violation"] <= 1e-6
+                and final["Il_violation"] <= 1e-6),
+            "upsilon_consensus": None if ups is None else ups < 1e-4,
+            "lambda_consensus": final["rlambda_spread"] < 1e-4,
+            "conservation": all(v < 1e-9 for v in conservation.values()
+                                if v is not None),
+        },
+        "config": {"dt": cfg.dt, "t_end": cfg.t_end, "method": cfg.method,
+                   "sample_period": cfg.sample_period,
+                   "eps_fast": cp.eps_fast, "eps_u": cp.eps_u,
+                   "events": [[ev.time, ev.d_IL, ev.d_ZL]
+                              for ev in scenario.events]},
+        "equilibrium": {},
+    }
 
 
 def write_csv(path, traj: Trajectory, diag, g: GameDefinition, reduced=False):

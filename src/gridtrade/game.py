@@ -250,14 +250,6 @@ def subgradient_selection(interval) -> float:
     return lo if lo > 0.0 else hi
 
 
-def penalty_value(g: GameDefinition, x) -> float:
-    """Total exact-penalty value of the stacked decision vector."""
-    b = g.boxes
-    v = np.asarray(x, dtype=float)[b.pos]
-    return float(b.rho @ (np.maximum(b.lo - v, 0.0)
-                          + np.maximum(v - b.hi, 0.0)))
-
-
 def local_gradient(g: GameDefinition, x, upsilon, with_penalty=True):
     """Stacked per-agent own-cost gradients with the aggregate estimate.
 

@@ -6,25 +6,21 @@ with its penalty's force) serves both equilibria the package needs: the
 trading game's variational inequality over the coupled feasible set,
 certified by the recovered multipliers (with extragradient iteration and
 Dykstra projections as the fallback and the independent cross-check),
-and the attractor of the penalized closed loop.  Also provides the
-quasi-steady-state (reduced) dynamics and energy diagnostics used to
-certify simulation runs.
+and the attractor of the penalized closed loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
-from .controller import ControllerParams, ControllerState, controller_rhs, \
-    fast_equilibrium
+from .controller import ControllerParams, ControllerState, fast_equilibrium
 from .game import GameDefinition, local_gradient
-from .plant import PlantState, plant_rhs
+from .plant import PlantState
 from .pwa import ABOVE, BELOW, INTERIOR, LOWER, REGIME_NAMES, UPPER
-from .topology import MicrogridTopology, laplacian, laplacian_pinv
+from .topology import laplacian_pinv
 
 
 class _Vi:
@@ -139,7 +135,8 @@ class EquilibriumSolution:
     ``iterations`` counts extragradient iterations (0 on the active-set
     path).  ``residual`` is the extragradient fixed-point residual, or on
     the active-set path the certificate's: the larger of the balance gap
-    and the stationarity residual.
+    and the stationarity residual.  ``history`` is the extragradient's
+    fixed-point residual per iteration (None on the active-set path).
     """
 
     u_star: np.ndarray
@@ -150,7 +147,7 @@ class EquilibriumSolution:
     residual: float
     converged: bool
     method: str
-    recovery: MultiplierRecovery = None
+    recovery: MultiplierRecovery
     history: list = None
 
 
@@ -182,8 +179,7 @@ def solve_vi(g: GameDefinition) -> EquilibriumSolution:
 
 
 def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
-                         max_iter: int = 50000, return_history: bool = False
-                         ) -> EquilibriumSolution:
+                         max_iter: int = 50000) -> EquilibriumSolution:
     """Extragradient solution of the game's variational inequality:
     :func:`solve_vi`'s fallback and the independent cross-check of its
     active-set path.
@@ -213,27 +209,22 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
 
     z = probe
     residual = np.inf
-    history = [] if return_history else None
+    history = []
     it = 0
     for it in range(1, max_iter + 1):
         z_half = proj.project(z - tau * (G @ z + g0))
         residual = float(np.abs(z - z_half).max())
-        if history is not None:
-            history.append(residual)
+        history.append(residual)
         if residual < tol:
             break
         z = proj.project(z - tau * (G @ z_half + g0))
     converged = residual < tol
     face = _active_set(vi, z=z)
     u, x = vi.split(z if face is None else face[0])
-    sol = EquilibriumSolution(u, x, np.zeros(g.n + g.m), np.zeros(g.n),
-                              it, residual, converged, "extragradient",
-                              history=history)
-    rec = recover_multipliers(sol, g)
-    sol.lambda_star = rec.lambda_shared
-    sol.gamma_star = rec.gamma
-    sol.recovery = rec
-    return sol
+    rec = recover_multipliers(g, u, x)
+    return EquilibriumSolution(u, x, rec.lambda_shared, rec.gamma, it,
+                               residual, converged, "extragradient", rec,
+                               history)
 
 
 def _certified(vi: _Vi, z):
@@ -254,20 +245,16 @@ def _certified(vi: _Vi, z):
             or (z > hi + 1e-12 * np.maximum(1.0, np.abs(hi))).any():
         return None
     u, x = vi.split(z)
-    sol = EquilibriumSolution(u, x, np.zeros(g.n + g.m), np.zeros(g.n), 0,
-                              gap, True, "active_set")
-    rec = recover_multipliers(sol, g)
+    rec = recover_multipliers(g, u, x)
     tol = 1e-9 * rec.scale
     active = rec.active_lower | rec.active_upper
     lower = rec.active_lower[active]
     if not (rec.residual <= tol and (rec.box_forces[lower] >= -tol).all()
             and (rec.box_forces[~lower] <= tol).all()):
         return None
-    sol.lambda_star = rec.lambda_shared
-    sol.gamma_star = rec.gamma
-    sol.recovery = rec
-    sol.residual = max(gap, rec.residual)
-    return sol
+    return EquilibriumSolution(u, x, rec.lambda_shared, rec.gamma, 0,
+                               max(gap, rec.residual), True, "active_set",
+                               rec)
 
 
 def _face_solve(G, g0, M, c, lo, hi, cap, state):
@@ -359,9 +346,8 @@ def _active_set(vi: _Vi, cp: ControllerParams = None, z=None):
 _ACTIVE_TOL = 1e-6   # distance from a bound at which a box row is active
 
 
-def recover_multipliers(sol: EquilibriumSolution,
-                        g: GameDefinition) -> MultiplierRecovery:
-    """Multipliers certifying a candidate equilibrium.
+def recover_multipliers(g: GameDefinition, u, x) -> MultiplierRecovery:
+    """Multipliers certifying a candidate equilibrium (u, x) of ``g``.
 
     The local-equality multipliers come directly from the voltage-dynamics
     stationarity, ``gamma_i = -r_i alpha_u (u_i - u_ref_i)``; the shared
@@ -372,7 +358,7 @@ def recover_multipliers(sol: EquilibriumSolution,
     lay = g.layout
     w = g.weights
     p = g.plant
-    u, x = np.asarray(sol.u_star), np.asarray(sol.x_star)
+    u, x = np.asarray(u), np.asarray(x)
     gamma = -w.r * w.alpha_u * (u - p.u_ref)
 
     agg = np.full(g.n, x[lay.ix_I].sum())
@@ -455,66 +441,3 @@ def closed_loop_equilibrium(g: GameDefinition,
                        x[lay.ix_line].copy())
     return ClosedLoopEquilibrium(u, x, lam, gamma, regimes, force[box], cs,
                                  plant)
-
-
-def reduced_model_rhs(plant_state: PlantState, cs: ControllerState,
-                      g: GameDefinition, cp: ControllerParams):
-    """Slow dynamics with the consensus estimator at quasi-steady state.
-
-    The per-agent aggregate estimate is replaced by the decision copies'
-    current sum; estimator states are carried along with zero derivative.
-    Returns (plant derivative, controller derivative).
-    """
-    lay = g.layout
-    Ihat = cs.xhat[lay.ix_I]
-    qss = cs.copy()
-    qss.upsilon = np.full(g.n, Ihat.sum())
-    d_cs = controller_rhs(qss, plant_state.I, g, cp)
-    d_cs.upsilon = np.zeros(g.n)
-    d_cs.nu = np.zeros(g.n)
-    d_plant = plant_rhs(plant_state, cs.u, g.plant, g.topo)
-    return d_plant, d_cs
-
-
-def boundary_layer_energy_matrix(g: GameDefinition) -> np.ndarray:
-    """Quadratic form of the estimator-error energy; PSD by construction.
-    Computed once per communication graph and read-only."""
-    return _energy_form(g.comm_topo)
-
-
-@lru_cache(maxsize=64)
-def _energy_form(topo: MicrogridTopology) -> np.ndarray:
-    Lap = laplacian(topo)
-    n = topo.n
-    sigma = float(np.linalg.norm(Lap, 2))
-    Q = sigma * np.eye(2 * n)
-    Q[:n, :n] += 0.5 * (np.eye(n) + Lap)
-    Q[:n, n:] += 0.5 * Lap
-    Q[n:, :n] += 0.5 * Lap
-    Q.flags.writeable = False
-    return Q
-
-
-def lyapunov_diagnostics(plant_state: PlantState, cs: ControllerState,
-                         g: GameDefinition, cp: ControllerParams):
-    """Energy pair (E_b, E_r) certifying a sampled closed-loop state.
-
-    E_b measures the consensus estimator's distance from quasi-steady
-    state through a fixed PSD form; E_r combines the grid's derivative
-    energy with the squared slow-dynamics residual.
-    """
-    lay = g.layout
-    Ihat = cs.xhat[lay.ix_I]
-    ups_star, nu_star = fast_equilibrium(Ihat, g.comm_topo)
-    s_b = np.concatenate([cs.upsilon - ups_star, cs.nu - nu_star])
-    Q = boundary_layer_energy_matrix(g)
-    E_b = float(s_b @ (Q @ s_b))
-
-    d_plant, d_slow = reduced_model_rhs(plant_state, cs, g, cp)
-    p = g.plant
-    deriv_energy = 0.5 * (d_plant.I @ (p.L * d_plant.I)
-                          + d_plant.I_l @ (p.L_l * d_plant.I_l)
-                          + d_plant.V @ (p.C * d_plant.V))
-    g_d = d_slow.to_vector()[2 * g.n:]
-    E_r = float(deriv_energy + (0.5 / cp.eps_u) * (g_d @ g_d))
-    return E_b, E_r

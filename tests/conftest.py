@@ -41,7 +41,7 @@ def ref_solution(ref_game):
 def ref_extragradient(ref_game):
     """The reference game solved by extragradient with its residual
     history, shared read-only."""
-    return _solve_extragradient(ref_game, return_history=True)
+    return _solve_extragradient(ref_game)
 
 
 @pytest.fixture(scope="session")

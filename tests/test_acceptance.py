@@ -86,12 +86,12 @@ class TestAcceptance:
         saturated voltage penalty leaves V1 below its box at both
         attractors, and the reference run takes 67-82 s, not < 60 s."""
         report = long_run["report"]
-        conv = report.convergence_times
+        conv = report["convergence_times"]
         runtime = ref_run["runtime"]
         pre_t = conv[0]["time"]
         post_t = conv[1]["time"]
-        pre_final = report.final_kkt["pre_event_final"]
-        final = report.final_kkt["final"]
+        pre_final = report["residuals"]["pre_event_final"]
+        final = report["residuals"]["final"]
         boxes_ok = (pre_final["V_violation"] <= 1e-6
                     and pre_final["Il_violation"] <= 1e-6
                     and final["V_violation"] <= 1e-6
@@ -148,7 +148,7 @@ class TestAcceptance:
             f"{lam_spread:.3g} (<1e-4)")
 
     def test_ac5_conservation(self, ref_run):
-        cons = ref_run["report"].conservation
+        cons = ref_run["report"]["conservation"]
         ok = cons["nu_drift"] < 1e-9 and cons["theta_drift"] < 1e-9
         assert _report(
             "AC5", ok,

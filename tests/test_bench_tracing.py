@@ -28,5 +28,10 @@ def test_tracer_spans_a_short_run(tmp_path):
     assert metrics["kernels.rk4_steps"] == 200
     assert metrics["engine.csv_bytes"] > 0
     assert metrics["engine.assemble_calls"] == 1
+    # one span of each per-row diagnostic on each of the 3 rows
+    names = [span[0] for span in tracer.spans]
+    assert len(diag) == 3
+    assert names.count("controller.kkt_residual") == 3
+    assert names.count("oracle.lyapunov") == 3
     # every wrapper is taken out again
     assert all(getattr(engine, k) is v for k, v in originals.items())

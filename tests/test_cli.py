@@ -231,6 +231,32 @@ class TestReduced:
         assert rc == 0
         assert (tmp_path / "red" / "timeseries.csv").exists()
 
+    def test_check_lists_only_false_checks(self, short_scenario, tmp_path,
+                                           capsys):
+        """The reduced run's ``upsilon_consensus`` is null: not judged, so
+        not among the failed checks of this unconverged run."""
+        out = tmp_path / "red"
+        rc = main(["reduced", short_scenario, "--out", str(out), "--check"])
+        assert rc == 3
+        checks = json.loads((out / "summary.json").read_text())["checks"]
+        assert checks["upsilon_consensus"] is None
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("checks failed: ")]
+        failed = line[len("checks failed: "):].split(", ")
+        assert "upsilon_consensus" not in failed
+        assert set(failed) == {k for k, v in checks.items() if v is False}
+
+    def test_unjudged_check_passes(self, short_scenario, tmp_path,
+                                   monkeypatch, capsys):
+        report = {"convergence_times": [],
+                  "checks": {"judged": True, "unjudged": None}}
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda *args, **kwargs: (None, None, report))
+        rc = main(["reduced", short_scenario, "--out", str(tmp_path),
+                   "--check"])
+        assert rc == 0
+        assert "all checks passed" in capsys.readouterr().out
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", ["simulate", "reduced", "equilibrium"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -177,10 +179,10 @@ class TestKktResidual:
         base = ref_attractor.controller
         results = []
         for delta in (1e-4, 1e-3, 1e-2):
-            cs = base.copy()
-            cs.lam = cs.lam.copy()
-            cs.lam[0, 0] += delta
-            results.append(kkt_residual(cs, ref_game, ref_cp).max)
+            lam = base.lam.copy()
+            lam[0, 0] += delta
+            results.append(kkt_residual(replace(base, lam=lam), ref_game,
+                                        ref_cp).max)
         assert results[1] / results[0] == pytest.approx(10.0, rel=0.2)
         assert results[2] / results[1] == pytest.approx(10.0, rel=0.2)
 

@@ -445,7 +445,7 @@ class TestRunScenario:
         assert diag[k1, 0] > diag[k0, 0]
 
     def test_conservation_along_run(self, ref_run):
-        cons = ref_run["report"].conservation
+        cons = ref_run["report"]["conservation"]
         assert cons["nu_drift"] < 1e-9
         assert cons["theta_drift"] < 1e-9
 
@@ -494,7 +494,7 @@ class TestRunScenario:
             assert traj.n_samples == 1
             assert traj.t[0] == 0.0
             assert np.isfinite(diag).all()
-            assert report.assumption_margins["epoch0"]["price_margin"] > 0
+            assert report["margins"]["epoch0"]["price_margin"] > 0
         assert built == []      # no era ran, so no closed loop is assembled
 
     def test_stability_guard(self):
@@ -670,6 +670,15 @@ class TestImportCost:
         assert out.stdout == "[]\n"
 
 
+def null_paths(tree, path=()):
+    """Key paths of the null leaves of a JSON tree."""
+    if tree is None:
+        return {path}
+    items = tree.items() if isinstance(tree, dict) \
+        else enumerate(tree) if isinstance(tree, list) else ()
+    return set().union(*(null_paths(v, path + (k,)) for k, v in items))
+
+
 class TestReducedRun:
     def test_smoke_and_columns(self, tmp_path):
         scn = Scenario.from_dict(ring4_dict(
@@ -690,6 +699,26 @@ class TestReducedRun:
             events=[{"time": "0.025 s", "d_IL": "3 A", "d_ZL": "3 Ohm"}]))
         return scn, out, run_scenario(scn, outdir=str(out), reduced=True)
 
+    def test_estimator_entries_null(self, reduced_run, tmp_path):
+        """The reduced run writes null for the estimator's entries, which
+        its model holds at 0 by construction, and for nu_drift; a full run
+        of the same scenario writes none of these nulls."""
+        scn, out, _ = reduced_run
+        run_scenario(scn, outdir=str(tmp_path))
+        reduced, full = (
+            null_paths(json.loads((d / "summary.json").read_text()))
+            for d in (out, tmp_path))
+        expected = {("residuals", at, k)
+                    for at in ("final", "pre_event_final")
+                    for k in ("kkt_line1", "kkt_line2", "upsilon_spread",
+                              "E_b")}
+        expected |= {("consensus", "upsilon_spread"),
+                     ("lyapunov", "E_b_first"), ("lyapunov", "E_b_last"),
+                     ("checks", "upsilon_consensus"),
+                     ("conservation", "nu_drift")}
+        assert reduced - full == expected
+        assert not full & expected
+
     def test_theta_drift_measured(self, reduced_run):
         """theta_drift is the per-second drift of theta's column sums,
         recomputed here from the CSV; the reduced state has no nu."""
@@ -704,7 +733,7 @@ class TestReducedRun:
         sums = theta[:, 0] + theta[:, 1] + theta[:, 2] + theta[:, 3]
         drift = np.abs(sums - sums[0]).max(axis=1) \
             / np.maximum(rows[:, 0], 1.0)
-        cons = report.conservation
+        cons = report["conservation"]
         assert cons["theta_drift"] == drift.max()
         assert 0.0 < cons["theta_drift"] < 1e-9
         assert cons["nu_drift"] is None
@@ -718,8 +747,8 @@ class TestReducedRun:
         y = traj.y.copy()
         y[-1, lay.ctrl["theta"].start] += 1e-6
         report = engine._build_report(scn, replace(traj, y=y), diag, lay)
-        assert report.conservation["theta_drift"] > 1e-9
-        assert report.checks["conservation"] is False
+        assert report["conservation"]["theta_drift"] > 1e-9
+        assert report["checks"]["conservation"] is False
 
 
 class TestFastSettlingScalesWithEps:

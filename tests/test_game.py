@@ -4,8 +4,7 @@ from scipy.optimize import minimize_scalar
 
 import gridtrade as gt
 from gridtrade.game import (cost, local_gradient, penalty_subgradient,
-                            penalty_value, pseudo_gradient,
-                            subgradient_selection)
+                            pseudo_gradient, subgradient_selection)
 
 from conftest import make_pair_game, make_single_game
 
@@ -440,10 +439,3 @@ class TestExactPenalty:
         res = minimize_scalar(penalized, bounds=(-10, 10), method="bounded",
                               options={"xatol": 1e-10})
         assert res.x > hi + 1e-3   # penalty saturates, minimiser escapes
-
-    def test_penalty_value(self, ref_game):
-        lay = ref_game.layout
-        x = ref_game.x_ref.copy()
-        assert penalty_value(ref_game, x) == 0.0
-        x[lay.ix_V[0]] = 375.0
-        assert penalty_value(ref_game, x) == pytest.approx(2 * 1200.0)

@@ -1,15 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridtrade as gt
-from gridtrade import ControllerParams, closed_loop_equilibrium, \
-    lyapunov_diagnostics, oracle, recover_multipliers, reduced_model_rhs, \
+from gridtrade import ControllerParams, closed_loop_equilibrium, oracle, \
     solve_vi
-from gridtrade.controller import ControllerState, controller_rhs
+from gridtrade.controller import ControllerState, \
+    boundary_layer_energy_matrix, controller_rhs, lyapunov_diagnostics
 from gridtrade.engine import ClosedLoop
-from gridtrade.oracle import FeasibleSetProjector, _Vi, _solve_extragradient, \
-    boundary_layer_energy_matrix
+from gridtrade.oracle import FeasibleSetProjector, _Vi, _solve_extragradient
 from gridtrade.plant import PlantState
 from gridtrade.scenarios import ring4_dict
 
@@ -509,28 +510,36 @@ class TestFilippovCertificate:
         assert_filippov_equilibrium(g, ControllerParams(0.01, eps_u))
 
 
+def random_state(g, seed):
+    """A controller and grid state of ``g`` with entries of scale 100."""
+    rng = np.random.default_rng(seed)
+    cs = ControllerState.from_vector(
+        rng.normal(scale=100, size=ControllerState.zeros(g).size), g)
+    plant = PlantState(*np.split(rng.normal(scale=100, size=2 * g.n + g.m),
+                                 [g.n, 2 * g.n]))
+    return plant, cs
+
+
 class TestReducedModel:
+    """The reduced model the simulator runs: ``ClosedLoop(reduced=True)``."""
+
     def test_zero_at_interior_attractor(self, wide_box_game):
         eq = closed_loop_equilibrium(wide_box_game, CP)
-        d_plant, d_cs = reduced_model_rhs(eq.plant, eq.controller,
-                                          wide_box_game, CP)
-        assert np.abs(d_plant.to_vector()).max() < 1e-7
-        assert np.abs(d_cs.to_vector()).max() < 1e-7
+        loop = ClosedLoop(wide_box_game, CP, reduced=True)
+        dy = loop.rhs_reference(loop.pack(eq.plant, eq.controller))
+        assert np.abs(dy).max() < 1e-7
 
     def test_substitution_identity(self, ref_game):
         """Reduced slow rows equal the full rows with the estimator at QSS."""
-        rng = np.random.default_rng(12)
-        cs = ControllerState.from_vector(
-            rng.normal(scale=100, size=ControllerState.zeros(ref_game).size),
-            ref_game)
-        plant = PlantState(*np.split(rng.normal(scale=100, size=12), [4, 8]))
-        _, d_red = reduced_model_rhs(plant, cs, ref_game, CP)
-        qss = cs.copy()
-        qss.upsilon = np.full(4, cs.xhat[ref_game.layout.ix_I].sum())
+        plant, cs = random_state(ref_game, 12)
+        loop = ClosedLoop(ref_game, CP, reduced=True)
+        d_red = loop.rhs_reference(loop.pack(plant, cs))
+        ups = np.full(4, cs.xhat[ref_game.layout.ix_I].sum())
+        qss = replace(cs, upsilon=ups)
         d_full = controller_rhs(qss, plant.I, ref_game, CP)
-        for name in ("u", "xhat", "lam", "theta", "gamma"):
-            assert np.array_equal(getattr(d_red, name), getattr(d_full, name))
-        assert np.array_equal(d_red.upsilon, np.zeros(4))
+        assert list(loop.ctrl) == ["u", "xhat", "lam", "theta", "gamma"]
+        for name, rows in loop.ctrl.items():
+            assert np.array_equal(d_red[rows], getattr(d_full, name).ravel())
 
 
 class TestLyapunovDiagnostics:
@@ -542,12 +551,26 @@ class TestLyapunovDiagnostics:
         assert E_r == pytest.approx(0.0, abs=1e-9)
 
     def test_energy_matrix_psd(self, ref_game):
-        Q = boundary_layer_energy_matrix(ref_game)
+        Q = boundary_layer_energy_matrix(ref_game.comm_topo)
         assert np.linalg.eigvalsh(Q).min() > -1e-12
 
     def test_nonnegative_on_random_states(self, ref_game):
         rng = np.random.default_rng(14)
-        Q = boundary_layer_energy_matrix(ref_game)
+        Q = boundary_layer_energy_matrix(ref_game.comm_topo)
         for _ in range(50):
             s = rng.normal(scale=100, size=8)
             assert s @ Q @ s >= -1e-9
+
+    def test_slow_residual_is_reduced_model(self, ref_game):
+        """E_r is the grid's derivative energy plus the slow rows of the
+        reduced model's right-hand side, squared and over 2 eps_u."""
+        plant, cs = random_state(ref_game, 15)
+        loop = ClosedLoop(ref_game, CP, reduced=True)
+        dy = loop.rhs_reference(loop.pack(plant, cs))
+        p = ref_game.plant
+        dI, dV, dIl = (dy[loop.plant[k]] for k in ("I", "V", "I_l"))
+        slow = dy[loop.ctrl["u"].start:]
+        expected = 0.5 * (dI @ (p.L * dI) + dIl @ (p.L_l * dIl)
+                          + dV @ (p.C * dV)) + 0.5 / CP.eps_u * (slow @ slow)
+        _, E_r = lyapunov_diagnostics(plant, cs, ref_game, CP)
+        assert E_r == pytest.approx(expected, rel=1e-12)

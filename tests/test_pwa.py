@@ -141,9 +141,9 @@ class TestLongRun:
 
     def test_residual_settles_in_both_eras(self, long_run):
         report = long_run["report"]
-        assert all(c["time"] is not None for c in report.convergence_times)
-        assert report.final_kkt["pre_event_final"]["kkt_max"] < 1e-6
-        assert report.final_kkt["final"]["kkt_max"] < 1e-6
+        assert all(c["time"] is not None for c in report["convergence_times"])
+        assert report["residuals"]["pre_event_final"]["kkt_max"] < 1e-6
+        assert report["residuals"]["final"]["kkt_max"] < 1e-6
 
 
 class TestGuards:

@@ -79,10 +79,6 @@ class ControllerState:
         return cls(**{k: p.reshape(s)
                       for (k, s), p in zip(shapes.items(), parts)})
 
-    @property
-    def size(self):
-        return self.to_vector().size
-
 
 def _equations(cs: ControllerState, plant_I, g: GameDefinition,
                cp: ControllerParams):

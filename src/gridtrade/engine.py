@@ -38,7 +38,7 @@ from .oracle import solve_vi
 from .plant import (DguParams, LineParams, PlantParams, PlantState,
                     apply_load_step, plant_rhs)
 from .pwa import PiecewiseAffineFlow
-from .topology import MicrogridTopology, whole_number
+from .topology import MicrogridTopology, edge_pairs, whole_number
 
 
 class ScenarioError(ValueError):
@@ -230,7 +230,9 @@ class Scenario:
                            + ["comm_edges"])
         if topo is not None and (ce := tnode.get("comm_edges")):
             try:
-                comm_topo = MicrogridTopology(topo.n, ce, [h for h, _ in ce])
+                pairs = edge_pairs(ce)
+                comm_topo = MicrogridTopology(topo.n, pairs,
+                                              [h for h, _ in pairs])
             except (ValueError, TypeError, OverflowError) as e:
                 errors.append(f"topology.comm_edges: {e}")
         price = _record(PriceParams, d.get("price", {}), "price", errors)
@@ -318,21 +320,17 @@ class Scenario:
         plant = None
         games = []
         if not errors:
-            plant = PlantParams(dgus, lines)
-            try:
-                games.append(build_game(topo, plant, price, weights,
-                                        penalties, comm_topo=comm_topo))
-            except ValueError as e:
-                errors.append(str(e))
-            # every load era's game must pass the same checks as era 0's
-            stepped = plant
-            for j, ev in enumerate(events, start=1):
+            plant = stepped = PlantParams(dgus, lines)
+            # every load era's game must pass the same checks as era 0's;
+            # the first era that fails is the one reported
+            for j, ev in enumerate([None, *events]):
                 try:
-                    stepped = apply_load_step(stepped, ev.d_IL, ev.d_ZL)
+                    if ev is not None:
+                        stepped = apply_load_step(stepped, ev.d_IL, ev.d_ZL)
                     games.append(build_game(topo, stepped, price, weights,
                                             penalties, comm_topo=comm_topo))
                 except ValueError as e:
-                    errors.append(f"events[{j}]: {e}")
+                    errors.append(f"events[{j}]: {e}" if j else str(e))
                     break
         if errors:
             raise ScenarioError(errors)

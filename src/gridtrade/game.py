@@ -242,14 +242,6 @@ def penalty_subgradient(value: float, lo: float, hi: float, rho: float):
     return (rho, rho)
 
 
-def subgradient_selection(interval) -> float:
-    """Minimum-norm element of a subdifferential interval."""
-    lo, hi = interval
-    if lo <= 0.0 <= hi:
-        return 0.0
-    return lo if lo > 0.0 else hi
-
-
 def local_gradient(g: GameDefinition, x, upsilon, with_penalty=True):
     """Stacked per-agent own-cost gradients with the aggregate estimate.
 

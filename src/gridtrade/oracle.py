@@ -88,28 +88,6 @@ class _Vi:
 _DYKSTRA_STOP = (200000, 1e-12, 1e-9)
 
 
-class FeasibleSetProjector:
-    """Dykstra alternating projection onto {M z = c} intersected with a box.
-
-    Alternates exact affine projections with box clips, carrying the
-    usual correction vectors; small iterate increments (``_DYKSTRA_STOP``)
-    stop the loop.  The returned point satisfies the box exactly and the
-    affine set to projection accuracy.
-    """
-
-    def __init__(self, M, c, lo, hi):
-        self.M = np.ascontiguousarray(M)
-        self.c = np.ascontiguousarray(c)
-        self.lo = np.ascontiguousarray(lo)
-        self.hi = np.ascontiguousarray(hi)
-        self._gram_inv = np.linalg.inv(M @ M.T)
-        self._P = np.ascontiguousarray(self.M.T @ self._gram_inv)
-
-    def project(self, z0):
-        return _kernels.dykstra_project(self._P, self.M, self.c, self.lo,
-                                        self.hi, z0, *_DYKSTRA_STOP)
-
-
 @dataclass
 class MultiplierRecovery:
     """Least-squares fit of the stationarity system at a candidate point."""
@@ -186,18 +164,24 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
 
     Iterates the weighted game map ``F(z) = G z + g0`` of :class:`_Vi`
     and projects onto the coupled feasible set with Dykstra's
-    alternating scheme; the step size is 0.5 over ``|G|_2``, the map's
-    Lipschitz constant.  Terminates when the fixed-point residual
-    ``|z - P(z - tau F(z))|_inf`` drops below ``tol`` (or after
-    ``max_iter`` iterations), then refines the final face with
-    :func:`_active_set` (keeping the raw iterate when that finds no
-    consistent face) and recovers its multipliers.  Raises RuntimeError
-    when the feasible set is empty; deterministic.
+    alternating scheme (:func:`_kernels.dykstra_project`, its affine
+    step through ``P = M^T (M M^T)^-1``); the step size is 0.5 over
+    ``|G|_2``, the map's Lipschitz constant.  Terminates when the
+    fixed-point residual ``|z - project(z - tau F(z))|_inf`` drops below
+    ``tol`` (or after ``max_iter`` iterations), then refines the final
+    face with :func:`_active_set` (keeping the raw iterate when that
+    finds no consistent face) and recovers its multipliers.  Raises
+    RuntimeError when the feasible set is empty; deterministic.
     """
     vi = _Vi(g)
     M, c, G, g0 = vi.M, vi.c, vi.G, vi.g0
-    proj = FeasibleSetProjector(M, c, vi.lo, vi.hi)
-    probe = proj.project(vi.start)
+    P = M.T @ np.linalg.inv(M @ M.T)
+
+    def project(z0):
+        return _kernels.dykstra_project(P, M, c, vi.lo, vi.hi, z0,
+                                        *_DYKSTRA_STOP)
+
+    probe = project(vi.start)
     gap = float(np.abs(M @ probe - c).max())
     if gap > 1e-6:
         raise RuntimeError(
@@ -212,12 +196,12 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
     history = []
     it = 0
     for it in range(1, max_iter + 1):
-        z_half = proj.project(z - tau * (G @ z + g0))
+        z_half = project(z - tau * (G @ z + g0))
         residual = float(np.abs(z - z_half).max())
         history.append(residual)
         if residual < tol:
             break
-        z = proj.project(z - tau * (G @ z_half + g0))
+        z = project(z - tau * (G @ z_half + g0))
     converged = residual < tol
     face = _active_set(vi, z=z)
     u, x = vi.split(z if face is None else face[0])

@@ -100,9 +100,6 @@ class PiecewiseAffineFlow:
         pattern = np.where(on_lo, at_lo, np.where(on_hi, at_hi, pattern))
         return tuple(int(p) for p in pattern), y
 
-    def regime_names(self, y):
-        return tuple(REGIME_NAMES[p] for p in self.classify(y)[0])
-
     def _system(self, pattern):
         """Augmented generator [[A, b], [0, 0]] of the pattern's LTI flow."""
         N = self.size

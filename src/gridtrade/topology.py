@@ -38,9 +38,7 @@ class MicrogridTopology:
 
     def __init__(self, n, edges, managers):
         object.__setattr__(self, "n", whole_number(n, "n"))
-        object.__setattr__(self, "edges", tuple(
-            tuple(whole_number(v, f"edge {k}: endpoint") for v in (h, t))
-            for k, (h, t) in enumerate(edges, start=1)))
+        object.__setattr__(self, "edges", edge_pairs(edges))
         object.__setattr__(self, "managers", tuple(
             whole_number(a, f"edge {k}: manager")
             for k, a in enumerate(managers, start=1)))
@@ -72,6 +70,18 @@ class MicrogridTopology:
                 )
         if not _connected(self.n, self.edges):
             raise ValueError("graph is not connected")
+
+
+def edge_pairs(edges):
+    """``edges`` as (head, tail) pairs of whole numbers; an edge that is
+    not a two-entry list or tuple is refused, naming the edge."""
+    pairs = []
+    for k, edge in enumerate(edges, start=1):
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            raise ValueError(f"edge {k}: expected [head, tail], got {edge!r}")
+        pairs.append(tuple(whole_number(v, f"edge {k}: endpoint")
+                           for v in edge))
+    return tuple(pairs)
 
 
 def whole_number(value, what):

@@ -1,18 +1,50 @@
-import pytest
+import copy
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gridtrade as gt
-from gridtrade import _kernels
+from gridtrade import _kernels, pwa
 from gridtrade.integrate import grid_errors, run_eras
 from gridtrade.oracle import _solve_extragradient
-from gridtrade.scenarios import ring4, ring4_dict
+
+RING4_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "ring4.json"
+_RING4 = json.loads(RING4_FILE.read_text())
+
+
+def ring4_dict(**overrides) -> dict:
+    """A fresh deep copy of the reference scenario ``scenarios/ring4.json``.
+
+    An override that is a dict updates the section of that name; any
+    other override replaces it."""
+    d = copy.deepcopy(_RING4)
+    for key, val in overrides.items():
+        if isinstance(val, dict) and isinstance(d.get(key), dict):
+            d[key].update(val)
+        else:
+            d[key] = val
+    return d
+
+
+def subgradient_selection(interval) -> float:
+    """Minimum-norm element of a subdifferential interval."""
+    lo, hi = interval
+    if lo <= 0.0 <= hi:
+        return 0.0
+    return lo if lo > 0.0 else hi
+
+
+def regime_names(flow, y):
+    """Names of the regimes of ``flow``'s penalized entries at ``y``."""
+    return tuple(pwa.REGIME_NAMES[p] for p in flow.classify(y)[0])
 
 
 @pytest.fixture(scope="session")
 def ref_scenario():
-    return ring4()
+    return gt.Scenario.from_file(RING4_FILE)
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +97,7 @@ def ref_run(tmp_path_factory):
     import time
 
     outdir = tmp_path_factory.mktemp("ref_run")
-    scn = ring4()
+    scn = gt.Scenario.from_file(RING4_FILE)
     t0 = time.monotonic()
     traj, diag, report = gt.run_scenario(scn, outdir=str(outdir))
     runtime = time.monotonic() - t0
@@ -84,9 +116,9 @@ def long_run():
     """The reference experiment on a horizon long enough to settle.
 
     Same plant, weights, penalties, controller, zero controller start
-    and 3 A / 3 Ohm load step as ``ring4``; only the event time, the
-    horizon, the sample period and the integrator (exact piecewise-affine
-    propagation with Filippov sliding) differ.
+    and 3 A / 3 Ohm load step as ``scenarios/ring4.json``; only the
+    event time, the horizon, the sample period and the integrator (exact
+    piecewise-affine propagation with Filippov sliding) differ.
     """
     d = ring4_dict()
     d["events"] = [dict(d["events"][0], time=LONG_ERA)]

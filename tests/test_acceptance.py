@@ -43,12 +43,10 @@ import pytest
 
 import gridtrade as gt
 from gridtrade.engine import ClosedLoop, Scenario, StateLayout, run_scenario
-from gridtrade.game import cost, pseudo_gradient, subgradient_selection, \
-    penalty_subgradient
+from gridtrade.game import cost, pseudo_gradient, penalty_subgradient
 from gridtrade.integrate import IntegratorConfig
-from gridtrade.scenarios import ring4_dict
 
-from conftest import rk4_run
+from conftest import ring4_dict, rk4_run, subgradient_selection
 
 KKT_THR = 1e-3
 

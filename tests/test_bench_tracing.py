@@ -1,17 +1,104 @@
-"""The benchmark's trace mode against the package it wraps.
+"""The benchmark against the package it imports and wraps.
 
-``bench/tracing.py`` replaces module attributes of gridtrade by name to
-time each layer; a renamed attribute would otherwise surface only when
-the benchmark runs with ``--trace 1``.
+``bench/run.py`` imports gridtrade names, some of them inside functions,
+and ``bench/tracing.py`` replaces module attributes of gridtrade by name
+to time each layer.  A renamed name or a changed call would otherwise
+surface only when the benchmark runs.
 """
 
+import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-from gridtrade import engine
-from gridtrade.scenarios import ring4_dict
+import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from gridtrade import _kernels, engine, pwa
+from gridtrade.controller import ControllerState
+
+from conftest import ring4_dict
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
+
+
+def resolve(dotted):
+    """The object a dotted name such as ``gridtrade.engine.csv_header``
+    names; AttributeError or ImportError when it names nothing."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for k in range(1, len(parts)):
+        try:
+            obj = getattr(obj, parts[k])
+        except AttributeError:
+            obj = importlib.import_module(".".join(parts[:k + 1]))
+    return obj
+
+
+def package_names(tree):
+    """Dotted names of the gridtrade objects a bench module imports or
+    reaches through an imported name's attributes, and for each call of
+    one of them its (dotted name, positional count, keyword names)."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "gridtrade":
+            for a in node.names:
+                bound[a.asname or a.name] = f"{node.module}.{a.name}"
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "gridtrade":
+                    # ``import gridtrade.x`` binds gridtrade, ``as y`` binds x
+                    bound[a.asname or "gridtrade"] = \
+                        a.name if a.asname else "gridtrade"
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    names = set(bound.values())
+    calls = []
+    for node in ast.walk(tree):
+        name = dotted(node) if isinstance(node, ast.Attribute) else None
+        if name:
+            names.add(name)
+        if isinstance(node, ast.Call) and (name := dotted(node.func)) and \
+                not any(isinstance(a, ast.Starred) for a in node.args) and \
+                all(k.arg for k in node.keywords):
+            calls.append((name, len(node.args),
+                          [k.arg for k in node.keywords]))
+    return names, calls
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_bench_names_resolve(path):
+    """Every gridtrade name a bench module imports, at module level or
+    inside a function, resolves, and every direct call of one binds."""
+    names, calls = package_names(ast.parse(path.read_text()))
+    for name in sorted(names):
+        resolve(name)
+    for name, n_args, keywords in calls:
+        inspect.signature(resolve(name)).bind(
+            *range(n_args), **dict.fromkeys(keywords))
+
+
+def test_bench_call_shapes():
+    """The calls the benchmark makes on instances or through a wrapper,
+    and the arguments its tracer reads by name."""
+    inspect.signature(pwa.PiecewiseAffineFlow.propagate).bind(
+        "flow", "y", "n_samples", "sample_period", "dt")
+    inspect.signature(engine.Scenario.game).bind("scn", "plant_params")
+    inspect.signature(ControllerState.from_vector).bind("y", "g")
+    inspect.signature(engine.run_scenario).bind("scn", outdir=None)
+    assert "steps" in inspect.signature(_kernels.rk4_affine).parameters
+    assert "path" in inspect.signature(engine.write_csv).parameters
+    assert "g" in inspect.signature(engine.solve_vi).parameters
 
 
 def test_tracer_spans_a_short_run(tmp_path):

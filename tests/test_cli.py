@@ -7,7 +7,8 @@ from gridtrade import cli, engine
 from gridtrade.cli import main
 from gridtrade.engine import Scenario, ScenarioError
 from gridtrade.oracle import game_map_matrix
-from gridtrade.scenarios import ring4_dict, write_scenario
+
+from conftest import RING4_FILE, ring4_dict
 
 
 @pytest.fixture
@@ -16,26 +17,19 @@ def short_scenario(tmp_path):
         integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.01 s"},
         events=[], output={"sample_period": "1e-3 s"})
     path = tmp_path / "short.json"
-    write_scenario(d, path)
-    return str(path)
-
-
-@pytest.fixture
-def ref_scenario_file(tmp_path):
-    path = tmp_path / "ring4.json"
-    write_scenario(ring4_dict(), path)
+    path.write_text(json.dumps(d))
     return str(path)
 
 
 class TestValidate:
-    def test_reference_scenario(self, ref_scenario_file, capsys):
-        rc = main(["validate", ref_scenario_file])
+    def test_reference_scenario(self, capsys):
+        rc = main(["validate", str(RING4_FILE)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "3.24" in out              # price margin
         assert "monotonicity" in out
         assert "partition: ok" in out
-        G = game_map_matrix(Scenario.from_file(ref_scenario_file).game())
+        G = game_map_matrix(Scenario.from_file(RING4_FILE).game())
         mineig = np.linalg.eigvalsh(0.5 * (G + G.T)).min()
         assert f"game-map matrix: {mineig:.4f}\n" in out
 
@@ -43,7 +37,7 @@ class TestValidate:
         d = ring4_dict()
         d["price"] = {"l": 0.01, "p_r": 5.0}
         path = tmp_path / "bad.json"
-        write_scenario(d, path)
+        path.write_text(json.dumps(d))
         rc = main(["validate", str(path)])
         assert rc == 1
 
@@ -51,7 +45,7 @@ class TestValidate:
         d = ring4_dict(initial={"plant": "zeros",
                                 "controller": {"nu": [1, 0, 0, 0]}})
         path = tmp_path / "bad_nu.json"
-        write_scenario(d, path)
+        path.write_text(json.dumps(d))
         rc = main(["validate", str(path)])
         assert rc == 1
         assert "nu must sum to zero" in capsys.readouterr().err
@@ -61,7 +55,7 @@ class TestValidate:
         d["integrator"]["t_end"] = 0.0026
         d["events"][0]["time"] = 0.0015
         path = tmp_path / "off_grid.json"
-        write_scenario(d, path)
+        path.write_text(json.dumps(d))
         rc = main(["validate", str(path)])
         err = capsys.readouterr().err
         assert rc == 1
@@ -72,7 +66,7 @@ class TestValidate:
         d = ring4_dict()
         d["integrator"]["dt"] = "1e-4 s"
         path = tmp_path / "unstable.json"
-        write_scenario(d, path)
+        path.write_text(json.dumps(d))
         rc = main(["validate", str(path)])
         assert rc == 1
         assert "violates the line-dynamics stability bound" in \
@@ -98,7 +92,7 @@ class TestValidate:
         with pytest.raises(ScenarioError) as ei:
             Scenario.from_dict(d)
         assert ei.value.errors == [message]
-        write_scenario(d, tmp_path / "misspelt.json")
+        (tmp_path / "misspelt.json").write_text(json.dumps(d))
         assert main(["validate", str(tmp_path / "misspelt.json")]) == 1
         assert message in capsys.readouterr().err
 
@@ -113,7 +107,7 @@ class TestValidate:
         with pytest.raises(ScenarioError) as ei:
             Scenario.from_dict(d)
         assert ei.value.errors == [message]
-        write_scenario(d, tmp_path / "removed.json")
+        (tmp_path / "removed.json").write_text(json.dumps(d))
         assert main(["validate", str(tmp_path / "removed.json")]) == 1
         assert message in capsys.readouterr().err
 
@@ -173,10 +167,9 @@ class TestSimulate:
 
     def test_t_end_off_sample_grid_exits_1(self, tmp_path, capsys):
         path = tmp_path / "zeros.json"
-        write_scenario(ring4_dict(
+        path.write_text(json.dumps(ring4_dict(
             integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.01 s"},
-            events=[], initial={"plant": "zeros", "controller": "zeros"}),
-            path)
+            events=[], initial={"plant": "zeros", "controller": "zeros"})))
         rc = main(["simulate", str(path), "--out", str(tmp_path / "r"),
                    "--t-end", "0.0026"])
         assert rc == 1
@@ -198,15 +191,15 @@ class TestSimulate:
                                "I_l": [1e308, 0, 0, 0]},
                      "controller": "zeros"})
         path = tmp_path / "blow.json"
-        write_scenario(d, path)
+        path.write_text(json.dumps(d))
         rc = main(["simulate", str(path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "runtime failure" in capsys.readouterr().err
 
 
 class TestEquilibrium:
-    def test_json_output(self, ref_scenario_file, capsys):
-        rc = main(["equilibrium", ref_scenario_file, "--format", "json"])
+    def test_json_output(self, capsys):
+        rc = main(["equilibrium", str(RING4_FILE), "--format", "json"])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["converged"]
@@ -215,10 +208,8 @@ class TestEquilibrium:
         assert len(data["u_star"]) == 4
         assert 377.0 <= min(data["x_star"][1::1]) or True  # shape sanity only
 
-    def test_table_output_and_export(self, ref_scenario_file, tmp_path,
-                                     capsys):
-        rc = main(["equilibrium", ref_scenario_file, "--out",
-                   str(tmp_path)])
+    def test_table_output_and_export(self, tmp_path, capsys):
+        rc = main(["equilibrium", str(RING4_FILE), "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "u*:" in out and "lambda*:" in out

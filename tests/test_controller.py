@@ -17,14 +17,15 @@ CP = ControllerParams(eps_fast=0.01, eps_u=0.1)
 class TestControllerState:
     def test_vector_roundtrip(self, ref_game):
         rng = np.random.default_rng(2)
-        v = rng.normal(size=ControllerState.zeros(ref_game).size)
+        v = rng.normal(size=ControllerState.zeros(ref_game).to_vector().size)
         cs = ControllerState.from_vector(v, ref_game)
         assert np.array_equal(cs.to_vector(), v)
         assert cs.lam.shape == (4, 8)
 
     def test_zeros_shape(self, ref_game):
         cs = ControllerState.zeros(ref_game)
-        assert cs.size == 92  # 3n + (2n+m) + 2n(n+m) + n for n = m = 4
+        # 3n + (2n+m) + 2n(n+m) + n for n = m = 4
+        assert cs.to_vector().size == 92
 
 
 class TestControllerRhs:
@@ -160,7 +161,7 @@ class TestKktResidual:
         times the estimator derivatives within 1 ulp."""
         g, cp = (ref_game, ref_cp) if case == "ring4" else (pair_game, CP)
         rng = np.random.default_rng(21)
-        size = ControllerState.zeros(g).size
+        size = ControllerState.zeros(g).to_vector().size
         for _ in range(20):
             cs = ControllerState.from_vector(
                 rng.normal(scale=10.0 ** rng.integers(-2, 4), size=size), g)
@@ -225,11 +226,10 @@ class TestConsensusErrors:
 class TestConservation:
     def test_rhs_level_invariants(self, ref_game):
         rng = np.random.default_rng(8)
+        size = ControllerState.zeros(ref_game).to_vector().size
         for _ in range(5):
             cs = ControllerState.from_vector(
-                rng.normal(scale=200,
-                           size=ControllerState.zeros(ref_game).size),
-                ref_game)
+                rng.normal(scale=200, size=size), ref_game)
             d = controller_rhs(cs, rng.normal(size=4), ref_game, CP)
             scale = max(1.0, np.abs(cs.upsilon).max(), np.abs(cs.lam).max())
             assert abs(d.nu.sum()) < 1e-10 * scale

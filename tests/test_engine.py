@@ -15,9 +15,8 @@ from gridtrade import _kernels, engine
 from gridtrade.engine import (ClosedLoop, ScenarioError, Scenario, csv_header,
                               parse_quantity, run_scenario)
 from gridtrade.controller import controller_rhs
-from gridtrade.scenarios import ring4, ring4_dict
 
-from conftest import rk4_run
+from conftest import RING4_FILE, ring4_dict, rk4_run
 
 
 class TestUnits:
@@ -49,7 +48,7 @@ class TestUnits:
 
 class TestScenarioValidation:
     def test_reference_scenario_loads(self):
-        scn = ring4()
+        scn = Scenario.from_file(RING4_FILE)
         assert scn.topo.n == 4 and scn.topo.m == 4
         assert scn.plant.Z_L[1] == 50.0
         assert scn.integrator.dt == 1e-5
@@ -125,6 +124,15 @@ class TestScenarioValidation:
         assert ei.value.errors == [
             f"events[1]: price margin over peak feasible demand is "
             f"{margin:.4f} <= 0"]
+
+    def test_era0_game_error_reported_once(self):
+        """A game that fails in era 0 is not built again for the events,
+        so no event is blamed for it."""
+        d = ring4_dict(penalties={"rho_V": [1200, 1200]})
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [
+            "weights/penalties must have one entry per agent"]
 
     @pytest.mark.parametrize("key, size", [
         ("upsilon", 4), ("nu", 4), ("u", 4), ("gamma", 4), ("xhat", 12),
@@ -203,6 +211,20 @@ class TestScenarioValidation:
             Scenario.from_dict(d)
         assert ei.value.errors == [message]
 
+    @pytest.mark.parametrize("key, where", [
+        ("edges", "topology"), ("comm_edges", "topology.comm_edges")])
+    @pytest.mark.parametrize("edge", ["12", [1, 2, 3], 5, [1]])
+    def test_edge_not_a_pair_refused(self, key, where, edge):
+        """A two-character string is not read as an edge, and the other
+        malformed edges are named rather than left to Python's unpacking
+        message."""
+        d = ring4_dict()
+        d["topology"][key] = [edge, [2, 3], [3, 4], [4, 1]]
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [
+            f"{where}: edge 1: expected [head, tail], got {edge!r}"]
+
     def test_record_count_named_before_graph(self):
         d = ring4_dict()
         d["topology"]["n"] = 100000
@@ -255,7 +277,7 @@ class TestScenarioValidation:
             "event time 5.0 not on the sample grid"]
 
     def test_events_frozen(self):
-        scn = ring4()
+        scn = Scenario.from_file(RING4_FILE)
         assert scn.events[0] == engine.Event(5.0, 3.0, 3.0)
         with pytest.raises(FrozenInstanceError):
             scn.events[0].time = 1.0
@@ -645,14 +667,6 @@ class TestRuntimeFailure:
             run_scenario(scn)
 
 
-class TestShippedScenarioFile:
-    def test_matches_builder(self):
-        path = os.path.join(os.path.dirname(__file__), "..", "scenarios",
-                            "ring4.json")
-        with open(path) as f:
-            assert json.load(f) == ring4_dict()
-
-
 class TestImportCost:
     def test_parse_leaves_scipy_unloaded(self):
         """Importing the package and parsing ring4 load no scipy module;
@@ -661,8 +675,7 @@ class TestImportCost:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys, gridtrade\n"
-                "from gridtrade.scenarios import ring4_dict\n"
-                "gridtrade.Scenario.from_dict(ring4_dict())\n"
+                f"gridtrade.Scenario.from_file({str(RING4_FILE)!r})\n"
                 "print(sorted(m for m in sys.modules"
                 " if m.split('.')[0] == 'scipy'))\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,

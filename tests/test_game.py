@@ -4,9 +4,9 @@ from scipy.optimize import minimize_scalar
 
 import gridtrade as gt
 from gridtrade.game import (cost, local_gradient, penalty_subgradient,
-                            pseudo_gradient, subgradient_selection)
+                            pseudo_gradient)
 
-from conftest import make_pair_game, make_single_game
+from conftest import make_pair_game, make_single_game, subgradient_selection
 
 
 class TestConstraints:

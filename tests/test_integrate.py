@@ -4,9 +4,8 @@ import pytest
 from gridtrade import (IntegrationError, IntegratorConfig, Scenario,
                        ScenarioError, run_scenario)
 from gridtrade.integrate import grid_errors
-from gridtrade.scenarios import ring4_dict
 
-from conftest import rk4_run
+from conftest import ring4_dict, rk4_run
 
 DECAY = [[-1.0]], [0.0]      # dy/dt = -y
 

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridtrade as gt
-from gridtrade import ControllerParams, closed_loop_equilibrium, oracle, \
-    solve_vi
+from gridtrade import ControllerParams, _kernels, closed_loop_equilibrium, \
+    oracle, solve_vi
 from gridtrade.controller import ControllerState, \
     boundary_layer_energy_matrix, controller_rhs, lyapunov_diagnostics
 from gridtrade.engine import ClosedLoop
-from gridtrade.oracle import FeasibleSetProjector, _Vi, _solve_extragradient
+from gridtrade.oracle import _Vi, _solve_extragradient
 from gridtrade.plant import PlantState
-from gridtrade.scenarios import ring4_dict
 
-from conftest import make_single_game
+from conftest import make_single_game, regime_names, ring4_dict
 
 CP = ControllerParams(0.01, 0.1)
 
@@ -302,18 +301,24 @@ class TestActiveSet:
         assert (z >= vi.lo - 1e-9).all() and (z <= vi.hi + 1e-9).all()
 
 
+def project(vi, z0):
+    """Dykstra's projection of ``z0`` onto the feasible set of ``vi``, as
+    ``_solve_extragradient`` makes it."""
+    P = vi.M.T @ np.linalg.inv(vi.M @ vi.M.T)
+    return _kernels.dykstra_project(P, vi.M, vi.c, vi.lo, vi.hi, z0,
+                                    *oracle._DYKSTRA_STOP)
+
+
 class TestProjector:
     def test_idempotent_on_feasible_point(self, ref_game, ref_solution):
         vi = _Vi(ref_game)
-        proj = FeasibleSetProjector(vi.M, vi.c, vi.lo, vi.hi)
         z = vi.join(ref_solution.u_star, ref_solution.x_star)
-        assert np.abs(proj.project(z) - z).max() < 1e-10
+        assert np.abs(project(vi, z) - z).max() < 1e-10
 
     def test_projection_feasible(self, ref_game):
         vi = _Vi(ref_game)
-        proj = FeasibleSetProjector(vi.M, vi.c, vi.lo, vi.hi)
         rng = np.random.default_rng(9)
-        z = proj.project(rng.normal(scale=500, size=vi.size))
+        z = project(vi, rng.normal(scale=500, size=vi.size))
         assert (z >= vi.lo - 1e-9).all() and (z <= vi.hi + 1e-9).all()
         assert np.abs(vi.M @ z - vi.c).max() < 1e-8
 
@@ -462,7 +467,7 @@ def assert_filippov_equilibrium(g, cp):
     eq = closed_loop_equilibrium(g, cp)
     loop = ClosedLoop(g, cp)
     y = loop.pack(eq.plant, eq.controller)
-    assert loop.flow().regime_names(y) == eq.regimes
+    assert regime_names(loop.flow(), y) == eq.regimes
     sliding = np.array([r.endswith("-sliding") for r in eq.regimes])
     rows = loop.psrc[sliding]
     rest = np.ones(y.size, dtype=bool)
@@ -513,8 +518,8 @@ class TestFilippovCertificate:
 def random_state(g, seed):
     """A controller and grid state of ``g`` with entries of scale 100."""
     rng = np.random.default_rng(seed)
-    cs = ControllerState.from_vector(
-        rng.normal(scale=100, size=ControllerState.zeros(g).size), g)
+    size = ControllerState.zeros(g).to_vector().size
+    cs = ControllerState.from_vector(rng.normal(scale=100, size=size), g)
     plant = PlantState(*np.split(rng.normal(scale=100, size=2 * g.n + g.m),
                                  [g.n, 2 * g.n]))
     return plant, cs

@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .engine import KKT_THRESHOLD, ScenarioError, Scenario, run_scenario
-from .game import check_price_margin, check_monotonicity, check_penalty_bounds
+from .game import check_penalty_bounds
 from .integrate import IntegrationError
 from .oracle import game_map_matrix, solve_vi
 
@@ -84,11 +84,9 @@ def _cmd_validate(args):
     scn = _load(args.scenario)
     g = scn.games[0]
     # a scenario that loads has positive margins and a managed-line partition
-    margin1 = check_price_margin(scn.plant, scn.price.l, scn.price.p_r)
-    margins3 = check_monotonicity(scn.weights, scn.price.p_r, scn.plant.V_ref)
-    print(f"price margin over peak feasible demand: {margin1:.4f}")
+    print(f"price margin over peak feasible demand: {g.price_margin:.4f}")
     print("monotonicity margins per agent: "
-          + ", ".join(f"{v:.4f}" for v in margins3))
+          + ", ".join(f"{v:.4f}" for v in g.monotonicity))
     managed = scn.topo.managed_lines
     print("managed-line partition: ok "
           f"({ {i: list(v) for i, v in managed.items()} })")

@@ -31,9 +31,9 @@ from .controller import (ControllerParams, ControllerState, consensus_errors,
                          controller_rhs, fast_equilibrium, kkt_residual,
                          lyapunov_diagnostics)
 from .game import (GameDefinition, ObjectiveWeights, PenaltyParams,
-                   PriceParams, build_game, check_price_margin,
-                   check_monotonicity)
-from .integrate import IntegratorConfig, Trajectory, grid_errors, run_eras
+                   PriceParams, build_game)
+from .integrate import (IntegrationError, IntegratorConfig, Trajectory,
+                        grid_errors, run_eras)
 from .oracle import solve_vi
 from .plant import (DguParams, LineParams, PlantParams, PlantState,
                     apply_load_step, plant_rhs)
@@ -57,9 +57,8 @@ _PREFIXES = {"": 1.0, "m": 1e-3, "u": 1e-6, "µ": 1e-6, "n": 1e-9, "k": 1e3}
 _SECTIONS = ("name", "topology", "dgus", "lines", "price", "weights",
              "penalties", "controller", "integrator", "output", "events",
              "initial")
-# the keys of a weights[i] record and of penalties: their builders' parameters
+# the keys of a weights[i] record: its builder's parameters
 _WEIGHT_KEYS = tuple(inspect.signature(ObjectiveWeights).parameters)
-_PENALTY_KEYS = tuple(inspect.signature(PenaltyParams).parameters)
 _KINDS = {dict: "a JSON object", list: "a JSON list", str: "text"}
 
 
@@ -113,10 +112,11 @@ def _record(cls, node, where, errors, names=None, **known):
 
     ``node`` may hold the keys in ``names`` (default: every field not in
     ``known``); the fields among them are read, a ``float`` one with
-    :func:`parse_quantity` and any other as it is, and an absent one
-    takes its default.  ``known`` gives fields read elsewhere.  A node
-    that is not an object, a missing required field, an undeclared key,
-    an unreadable value or a value ``cls`` refuses goes in ``errors`` as
+    :func:`parse_quantity`, an ``np.ndarray`` one as a JSON list of
+    quantities and any other as it is, and an absent one takes its
+    default.  ``known`` gives fields read elsewhere.  A node that is not
+    an object, a missing required field, an undeclared key, an
+    unreadable value or a value ``cls`` refuses goes in ``errors`` as
     ``<where>: …``.
     """
     own = [f for f in fields(cls) if f.name not in known
@@ -128,9 +128,13 @@ def _record(cls, node, where, errors, names=None, **known):
     count = len(errors)
     values = dict(known)
     for f in (f for f in own if f.name in node):
+        val = node[f.name]
         try:
-            values[f.name] = parse_quantity(node[f.name]) \
-                if f.type in ("float", float) else node[f.name]
+            if f.type in ("np.ndarray", np.ndarray):
+                val = [parse_quantity(v) for v in _json(
+                    val, list, f"{where}.{f.name}", errors) or []]
+            values[f.name] = parse_quantity(val) \
+                if f.type in ("float", float) else val
         except ValueError as e:
             errors.append(f"{where}.{f.name}: {e}")
     if len(errors) > count or any(k not in node for k in required):
@@ -195,6 +199,18 @@ class Scenario:
     initial_controller: object  # "zeros" | ControllerState fields dict
     games: tuple
 
+    def __post_init__(self):
+        # a replaced ``events`` must still be the steps between ``games``
+        if len(self.games) != len(self.events) + 1:
+            raise ScenarioError([f"events: {len(self.events)} load steps "
+                                 f"for {len(self.games)} load eras"])
+        for j, (ev, g, h) in enumerate(zip(self.events, self.games,
+                                           self.games[1:]), 1):
+            if not (np.array_equal(h.plant.Z_L, g.plant.Z_L - ev.d_ZL) and
+                    np.array_equal(h.plant.I_L, g.plant.I_L - ev.d_IL)):
+                raise ScenarioError([f"events[{j}]: the step does not lead "
+                                     f"to the game of load era {j}"])
+
     @classmethod
     def from_file(cls, path):
         with open(path) as f:
@@ -237,7 +253,7 @@ class Scenario:
                 errors.append(f"topology.comm_edges: {e}")
         price = _record(PriceParams, d.get("price", {}), "price", errors)
 
-        weights = penalties = None
+        weights = None
         wnode = _json(d.get("weights", []), list, "weights", errors) or []
         if len(wnode) != n:
             errors.append("weights: need one record per agent")
@@ -263,22 +279,8 @@ class Scenario:
                     weights = ObjectiveWeights(**cols)
                 except ValueError as e:
                     errors.append(f"weights: {e}")
-        count = len(errors)
-        pnode = _keys(d.get("penalties", {}), "penalties", errors,
-                      _PENALTY_KEYS) or {}
-        rho = {}
-        for k in (k for k in _PENALTY_KEYS if k in pnode):
-            try:
-                rho[k] = [parse_quantity(v) for v in _json(
-                    pnode[k], list, f"penalties.{k}", errors) or []]
-            except ValueError as e:
-                errors.append(f"penalties.{k}: {e}")
-        if len(errors) == count:
-            try:
-                penalties = PenaltyParams(**rho)
-            except ValueError as e:
-                errors.append(f"penalties: {e}")
-
+        penalties = _record(PenaltyParams, d.get("penalties", {}),
+                            "penalties", errors)
         ctrl = _record(ControllerParams, d.get("controller", {}),
                        "controller", errors)
         out = _record(IntegratorConfig, d.get("output", {}), "output", errors,
@@ -509,38 +511,37 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
     lay = StateLayout(g0, reduced)
     y = lay.pack(plant0, cs0)
 
-    # Each era's dense operator is assembled when the era starts, and the
-    # previous one is released first: one M (N^2 doubles) alive at a time.
-    live = {}
-
-    def loop_of(era):
-        if era not in live:
-            live.clear()
-            live[era] = ClosedLoop(games[era], cp, reduced=reduced)
-        return live[era]
-
-    if cfg.method == "rk4":
+    def advance(era, y, n_samples):
+        # the era's M (N^2 doubles) lives in this call only: the previous
+        # era's is freed on return, so one is alive at a time
+        loop = ClosedLoop(games[era], cp, reduced=reduced)
+        if cfg.method == "pwa":
+            return loop.flow().propagate(y, n_samples, cfg.sample_period,
+                                         cfg.dt)
         per = round(cfg.sample_period / cfg.dt)
+        out = np.empty((n_samples, loop.size))
+        return out[:loop.run_segment(y, cfg.dt, n_samples * per, per, out)], y
 
-        def advance(era, y, n_samples):
-            loop = loop_of(era)
-            out = np.empty((n_samples, loop.size))
-            ns = loop.run_segment(y, cfg.dt, n_samples * per, per, out)
-            return out[:ns], y
-    else:
-        def advance(era, y, n_samples):
-            return loop_of(era).flow().propagate(y, n_samples,
-                                                 cfg.sample_period, cfg.dt)
     traj = run_eras(y, cfg, times, advance)
-    diag = _diagnostics(traj, games, cp, lay)
+    # a finite state can still overflow the energies; that fails the run
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = _diagnostics(traj, games, cp, lay)
+    bad = ~np.isfinite(diag)
+    if bad.any():
+        k = int(np.flatnonzero(bad.any(axis=1))[0])
+        cols = ", ".join(c for c, b in zip(_DIAG_COLUMNS, bad.any(axis=0))
+                         if b)
+        raise IntegrationError(f"non-finite diagnostics {cols}, first at "
+                               f"t={traj.t[k]:.6g}", traj.t[k], traj.y[k])
     report = _build_report(scenario, traj, diag, lay)
     if outdir is not None:
         report["equilibrium"] = _equilibrium_export(games, solved)
+        summary = json.dumps(report, indent=2, sort_keys=True,
+                             allow_nan=False)
         write_csv(os.path.join(outdir, "timeseries.csv"), traj, diag,
                   games[0], reduced=reduced)
         with open(os.path.join(outdir, "summary.json"), "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(summary + "\n")
     return traj, diag, report
 
 
@@ -589,8 +590,6 @@ def _equilibrium_export(games, solved):
 
 def _convergence_time(t, kkt, threshold):
     """Earliest sample time after which the residual stays below threshold."""
-    if len(t) == 0:
-        return None
     below = kkt < threshold
     if not below[-1]:
         return None
@@ -616,13 +615,9 @@ def _build_report(scenario, traj, diag, lay: StateLayout):
             "time": _convergence_time(traj.t[mask], col["kkt_max"][mask],
                                       KKT_THRESHOLD),
         })
-    margins = {}
-    for e, g in enumerate(games):
-        margins[f"epoch{e}"] = {
-            "price_margin": check_price_margin(g.plant, g.price.l, g.price.p_r),
-            "monotonicity": list(check_monotonicity(g.weights, g.price.p_r,
-                                                   g.plant.V_ref)),
-        }
+    margins = {f"epoch{e}": {"price_margin": g.price_margin,
+                             "monotonicity": list(g.monotonicity)}
+               for e, g in enumerate(games)}
     # per-second drift of the agent sums the dynamics conserve
     conservation = {"nu_drift": None, "theta_drift": 0.0}
     for k in ("nu", "theta"):
@@ -636,9 +631,9 @@ def _build_report(scenario, traj, diag, lay: StateLayout):
     def row(i):
         return {k: None if v is None else float(v[i]) for k, v in col.items()}
 
+    # every era holds a row: era 0 its start, each later one its event's
     first, final = row(0), row(-1)
-    pre = np.flatnonzero(traj.epoch == 0)
-    pre_final = row(pre[-1]) if pre.size else {}
+    pre_final = row(np.flatnonzero(traj.epoch == 0)[-1])
     ups = final["upsilon_spread"]
     return {
         "scenario": scenario.name,
@@ -662,8 +657,8 @@ def _build_report(scenario, traj, diag, lay: StateLayout):
         "checks": {
             "converged_all_segments": all(c["time"] is not None for c in conv),
             "boxes_at_equilibria": bool(
-                pre_final.get("V_violation", 1.0) <= 1e-6
-                and pre_final.get("Il_violation", 1.0) <= 1e-6
+                pre_final["V_violation"] <= 1e-6
+                and pre_final["Il_violation"] <= 1e-6
                 and final["V_violation"] <= 1e-6
                 and final["Il_violation"] <= 1e-6),
             "upsilon_consensus": None if ups is None else ups < 1e-4,

@@ -49,12 +49,16 @@ class ObjectiveWeights:
             raise ValueError("objective weights must be strictly positive")
 
 
+@dataclass(eq=False)
 class PenaltyParams:
     """Exact-penalty magnitudes for the voltage and line-current boxes."""
 
-    def __init__(self, rho_V, rho_Il):
-        self.rho_V = np.asarray(rho_V, dtype=float)
-        self.rho_Il = np.asarray(rho_Il, dtype=float)
+    rho_V: np.ndarray
+    rho_Il: np.ndarray
+
+    def __post_init__(self):
+        self.rho_V = np.asarray(self.rho_V, dtype=float)
+        self.rho_Il = np.asarray(self.rho_Il, dtype=float)
         if (self.rho_V <= 0).any() or (self.rho_Il.size and (self.rho_Il <= 0).any()):
             raise ValueError("penalty parameters must be strictly positive")
 
@@ -136,8 +140,9 @@ class GameDefinition:
 
     Built through :func:`build_game`; carries the topology, plant
     parameters, prices, weights, penalties, assembled constraints, the
-    penalized boxes (``boxes``) and the flat per-position weight and
-    reference arrays used by the dynamics.
+    penalized boxes (``boxes``), the flat per-position weight and
+    reference arrays used by the dynamics, and the margins
+    ``price_margin`` and ``monotonicity``, positive if ``validate``.
     """
 
     def __init__(self, topo, plant, price, weights, penalties,
@@ -176,15 +181,15 @@ class GameDefinition:
             np.concatenate([plant.V_min, plant.Il_min]),
             np.concatenate([plant.V_max, plant.Il_max]), rho,
             rho * np.concatenate([weights.r, self.r_edge]))
-        if validate:
-            margin1 = check_price_margin(plant, price.l, price.p_r)
-            if margin1 <= 0.0:
-                raise ValueError(
-                    f"price margin over peak feasible demand is {margin1:.4f} <= 0")
-            margins3 = check_monotonicity(weights, price.p_r, plant.V_ref)
-            if (margins3 <= 0.0).any():
-                raise ValueError(
-                    f"monotonicity margins must be positive, got {margins3}")
+        self.price_margin = check_price_margin(plant, price.l, price.p_r)
+        self.monotonicity = check_monotonicity(weights, price.p_r,
+                                               plant.V_ref)
+        if validate and self.price_margin <= 0.0:
+            raise ValueError("price margin over peak feasible demand is "
+                             f"{self.price_margin:.4f} <= 0")
+        if validate and (self.monotonicity <= 0.0).any():
+            raise ValueError("monotonicity margins must be positive, got "
+                             f"{self.monotonicity}")
 
     @property
     def n(self):

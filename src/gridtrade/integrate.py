@@ -17,7 +17,8 @@ import numpy as np
 
 
 class IntegrationError(RuntimeError):
-    """Integration aborted; carries the last good sample."""
+    """Integration aborted; carries the last good sample, or the first
+    one whose diagnostics are not finite."""
 
     def __init__(self, message, t_last=None, y_last=None, trajectory=None):
         super().__init__(message)

@@ -19,7 +19,8 @@ from . import _kernels
 from .controller import ControllerParams, ControllerState, fast_equilibrium
 from .game import GameDefinition, local_gradient
 from .plant import PlantState
-from .pwa import ABOVE, BELOW, INTERIOR, LOWER, REGIME_NAMES, UPPER
+from .pwa import (ABOVE, BELOW, INTERIOR, LOWER, REGIME_NAMES, UPPER,
+                  saturated_force)
 from .topology import laplacian_pinv
 
 
@@ -246,10 +247,7 @@ def _face_solve(G, g0, M, c, lo, hi, cap, state):
     face: ``state`` (a :mod:`pwa` regime per entry) pins LOWER/UPPER
     entries to their bound and adds -cap (BELOW) or +cap (ABOVE) to
     saturated rows.  Returns (z, mu, pin forces in entry order)."""
-    shift = g0.copy()
-    below, above = state == BELOW, state == ABOVE
-    shift[below] -= cap[below]
-    shift[above] += cap[above]
+    shift = g0 - saturated_force(state, cap)
     pins = np.flatnonzero((state == LOWER) | (state == UPPER))
     E = np.zeros((pins.size, g0.size))
     E[np.arange(pins.size), pins] = 1.0
@@ -302,8 +300,9 @@ def _active_set(vi: _Vi, cp: ControllerParams = None, z=None):
             return None
         lower = state == LOWER
         pinned = lower | (state == UPPER)
-        force = np.where(state == BELOW, -cap,
-                         np.where(state == ABOVE, cap, 0.0))
+        # a saturated box's force on its stationarity row is the flow's
+        # negated; negating cap, not the result, keeps a free entry's +0.0
+        force = saturated_force(state, -cap)
         force[pinned] = pin_forces
         inward = np.where(lower, -force, force)
         rules = (

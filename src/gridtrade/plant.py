@@ -7,7 +7,7 @@ lines.  All quantities SI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -59,26 +59,20 @@ class LineParams:
 
 
 class PlantParams:
-    """Parameter collection for the whole grid, with cached diagonals."""
+    """Parameter collection for the whole grid: each field of
+    :class:`DguParams` as the array of its value over ``dgus``, and each
+    field of :class:`LineParams` over ``lines``, a line's ``R`` and ``L``
+    as ``R_l`` and ``L_l``."""
 
     def __init__(self, dgus, lines):
         self.dgus = tuple(dgus)
         self.lines = tuple(lines)
-        self.R = np.array([d.R for d in self.dgus])
-        self.L = np.array([d.L for d in self.dgus])
-        self.C = np.array([d.C for d in self.dgus])
-        self.Z_L = np.array([d.Z_L for d in self.dgus])
-        self.I_L = np.array([d.I_L for d in self.dgus])
-        self.V_min = np.array([d.V_min for d in self.dgus])
-        self.V_max = np.array([d.V_max for d in self.dgus])
-        self.V_ref = np.array([d.V_ref for d in self.dgus])
-        self.I_ref = np.array([d.I_ref for d in self.dgus])
-        self.u_ref = np.array([d.u_ref for d in self.dgus])
-        self.R_l = np.array([l.R for l in self.lines])
-        self.L_l = np.array([l.L for l in self.lines])
-        self.Il_min = np.array([l.Il_min for l in self.lines])
-        self.Il_max = np.array([l.Il_max for l in self.lines])
-        self.Il_ref = np.array([l.Il_ref for l in self.lines])
+        for records, cls in ((self.dgus, DguParams), (self.lines, LineParams)):
+            for f in fields(cls):
+                name = f.name + "_l" if cls is LineParams and \
+                    f.name in ("R", "L") else f.name
+                setattr(self, name,
+                        np.array([getattr(r, f.name) for r in records]))
 
     @property
     def n(self):

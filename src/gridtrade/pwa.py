@@ -37,6 +37,15 @@ GROWTH_SHIFT = 4     # a step is at most 2**-4 of the time since a switch
 MAX_SWITCHES = 100000
 
 
+def saturated_force(pattern, force):
+    """Force of each saturated penalty of ``pattern`` on its row:
+    ``+force`` below the box, ``-force`` above it, 0 in the other
+    regimes."""
+    pattern = np.asarray(pattern)
+    return np.where(pattern == BELOW, force,
+                    np.where(pattern == ABOVE, -force, 0.0))
+
+
 def expm(a):
     """Matrix exponential (``scipy.linalg.expm``).  scipy is imported on
     the first call: only this module needs it, and importing it costs
@@ -101,19 +110,17 @@ class PiecewiseAffineFlow:
         return tuple(int(p) for p in pattern), y
 
     def _system(self, pattern):
-        """Augmented generator [[A, b], [0, 0]] of the pattern's LTI flow."""
+        """Augmented generator [[A, b], [0, 0]] of the pattern's LTI flow:
+        a sliding row is frozen, a saturated row carries its force."""
         N = self.size
+        p = np.array(pattern)
         aug = np.zeros((N + 1, N + 1))
         aug[:N, :N] = self.M
         aug[:N, N] = self.c
-        for k, reg in enumerate(pattern):
-            row = self.rows[k]
-            if reg in (LOWER, UPPER):
-                aug[row] = 0.0
-            elif reg == BELOW:
-                aug[row, N] += self.force[k]
-            elif reg == ABOVE:
-                aug[row, N] -= self.force[k]
+        aug[self.rows[(p == LOWER) | (p == UPPER)]] = 0.0
+        # only saturated rows get a sum: c + 0.0 would turn a -0.0 into +0.0
+        sat = (p == BELOW) | (p == ABOVE)
+        aug[self.rows[sat], N] += saturated_force(p[sat], self.force[sat])
         return aug
 
     def _check_rows(self, pattern):

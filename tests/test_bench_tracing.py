@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gridtrade import _kernels, engine, pwa
+from gridtrade import _kernels, engine, oracle, pwa
 from gridtrade.controller import ControllerState
 
 from conftest import ring4_dict
@@ -101,10 +101,15 @@ def test_bench_call_shapes():
     assert "g" in inspect.signature(engine.solve_vi).parameters
 
 
-def test_tracer_spans_a_short_run(tmp_path):
+def load_tracing():
     spec = importlib.util.spec_from_file_location("tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_spans_a_short_run(tmp_path):
+    tracing = load_tracing()
     scn = engine.Scenario.from_dict(ring4_dict(
         integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "2e-3 s"},
         events=[]))
@@ -122,3 +127,27 @@ def test_tracer_spans_a_short_run(tmp_path):
     assert names.count("oracle.lyapunov") == 3
     # every wrapper is taken out again
     assert all(getattr(engine, k) is v for k, v in originals.items())
+
+
+def test_tracer_spans_a_pwa_run(tmp_path):
+    """The ``pwa`` branch of the run under the tracer: one assembly and
+    one ``propagate`` span per load era, the exponentials counted, and
+    every wrapper taken out again."""
+    tracing = load_tracing()
+    scn = engine.Scenario.from_dict(ring4_dict(
+        integrator={"method": "pwa", "dt": "1e-5 s", "t_end": "2e-3 s"},
+        events=[{"time": "1e-3 s", "d_IL": "3 A", "d_ZL": "3 Ohm"}]))
+    owners = (engine, _kernels, oracle, pwa, pwa.PiecewiseAffineFlow)
+    originals = [(owner, dict(vars(owner))) for owner in owners]
+    with tracing.Tracer() as tracer:
+        _, diag, _ = engine.run_scenario(scn, outdir=tmp_path)
+    metrics = tracer.metrics(len(diag), 0.0, 0.0)
+    eras = len(scn.games)
+    assert eras == 2
+    assert metrics["engine.assemble_calls"] == eras
+    names = [span[0] for span in tracer.spans]
+    assert names.count("pwa.propagate") == eras
+    assert metrics["pwa.expm_calls"] > 0
+    assert metrics["kernels.rk4_steps"] == 0
+    for owner, before in originals:
+        assert all(vars(owner)[k] is v for k, v in before.items())

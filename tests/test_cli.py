@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -195,6 +196,32 @@ class TestSimulate:
         rc = main(["simulate", str(path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "runtime failure" in capsys.readouterr().err
+
+    def test_non_finite_diagnostics_exit_2(self, tmp_path, capsys):
+        d = ring4_dict(
+            integrator={"method": "pwa", "dt": "1e-5 s", "t_end": "0.01 s"},
+            events=[],
+            initial={"plant": {"I": [0, 0, 0, 0], "V": [0, 0, 0, 0],
+                               "I_l": [1e308, 0, 0, 0]}})
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "r"
+        rc = main(["simulate", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "non-finite diagnostics" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_overrides_keep_the_eras(self):
+        """The replaced integrator and controller pass the check that a
+        scenario's events still match its games."""
+        scn = Scenario.from_dict(ring4_dict(
+            integrator={"t_end": "0.01 s"},
+            events=[{"time": "0.005 s", "d_IL": "3 A", "d_ZL": "3 Ohm"}]))
+        args = argparse.Namespace(dt=2e-5, t_end=0.02, eps=0.02)
+        new = cli._apply_overrides(scn, args)
+        assert (new.integrator.dt, new.integrator.t_end) == (2e-5, 0.02)
+        assert new.controller.eps_fast == 0.02
+        assert new.events == scn.events and new.games == scn.games
 
 
 class TestEquilibrium:

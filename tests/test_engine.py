@@ -276,11 +276,42 @@ class TestScenarioValidation:
             "t_end 10.0 not on the sample grid (sample_period 1e-308)",
             "event time 5.0 not on the sample grid"]
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("rho_V", [1200, "x", 1200, 1200],
+         "penalties.rho_V: cannot parse quantity 'x'"),
+        ("rho_Il", [1000, 0, 1000, 1000],
+         "penalties: penalty parameters must be strictly positive"),
+        ("rho_Il", None, "penalties: missing field 'rho_Il'")])
+    def test_penalty_entry_refused(self, key, value, message):
+        d = ring4_dict()
+        if value is None:
+            del d["penalties"][key]
+        else:
+            d["penalties"][key] = value
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [message]
+
     def test_events_frozen(self):
         scn = Scenario.from_file(RING4_FILE)
         assert scn.events[0] == engine.Event(5.0, 3.0, 3.0)
         with pytest.raises(FrozenInstanceError):
             scn.events[0].time = 1.0
+
+    @pytest.mark.parametrize("events, message", [
+        ((), "events: 0 load steps for 2 load eras"),
+        ((engine.Event(0.005, 10.0, 0.0),),
+         "events[1]: the step does not lead to the game of load era 1")])
+    def test_replaced_events_must_match_games(self, events, message):
+        """``games`` holds the eras the parsed events cut the run into;
+        events replaced without them are refused rather than run on the
+        old eras' games."""
+        scn = Scenario.from_dict(ring4_dict(
+            integrator={"t_end": "0.01 s"},
+            events=[{"time": "0.005 s", "d_IL": "3 A", "d_ZL": "3 Ohm"}]))
+        with pytest.raises(ScenarioError) as ei:
+            replace(scn, events=events)
+        assert ei.value.errors == [message]
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -665,6 +696,24 @@ class TestRuntimeFailure:
         scn = Scenario.from_dict(d)
         with pytest.raises(gt.IntegrationError, match="non-finite"):
             run_scenario(scn)
+
+    def test_non_finite_diagnostics_fail_before_writing(self, tmp_path):
+        """``pwa`` keeps this start's states finite, but its energies
+        overflow from the first row: the run fails and writes no file."""
+        d = ring4_dict(
+            integrator={"method": "pwa", "dt": "1e-5 s", "t_end": "0.01 s"},
+            events=[],
+            initial={"plant": {"I": [0, 0, 0, 0], "V": [0, 0, 0, 0],
+                               "I_l": [1e308, 0, 0, 0]},
+                     "controller": "zeros"})
+        scn = Scenario.from_dict(d)
+        with pytest.raises(gt.IntegrationError) as ei:
+            run_scenario(scn, outdir=tmp_path)
+        assert str(ei.value) == "non-finite diagnostics E_b, E_r, first at t=0"
+        assert ei.value.t_last == 0.0
+        assert ei.value.y_last[engine.StateLayout(scn.game()).plant["I_l"]][0] \
+            == 1e308
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestImportCost:

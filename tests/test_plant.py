@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,20 @@ class TestLoadStep:
         _, p = single_loop_setup(Z_L=2.0)
         with pytest.raises(ValueError, match="Z_L"):
             gt.apply_load_step(p, 0.0, 3.0)
+
+
+class TestPlantParams:
+    def test_arrays_read_off_the_records(self, ref_scenario):
+        """Every record field is an array over the records, in record
+        order; a line's R and L are R_l and L_l."""
+        p = ref_scenario.plant
+        for records, cls, rename in ((p.dgus, gt.DguParams, {}),
+                                     (p.lines, gt.LineParams,
+                                      {"R": "R_l", "L": "L_l"})):
+            for f in fields(cls):
+                arr = getattr(p, rename.get(f.name, f.name))
+                assert arr.dtype == np.float64
+                assert arr.tolist() == [getattr(r, f.name) for r in records]
 
 
 class TestParamValidation:

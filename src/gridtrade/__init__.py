@@ -7,8 +7,8 @@ from .engine import (ClosedLoop, Scenario, ScenarioError, parse_quantity,
                      run_scenario)
 from .game import (ConstraintData, GameDefinition, ObjectiveWeights,
                    PenaltyBoxes, PenaltyParams, PriceParams, build_game,
-                   check_price_margin, check_monotonicity, check_penalty_bounds,
-                   cost, local_gradient, penalty_subgradient, pseudo_gradient)
+                   check_price_margin, check_monotonicity, cost,
+                   local_gradient, penalty_subgradient, pseudo_gradient)
 from .integrate import IntegrationError, IntegratorConfig, Trajectory
 from .oracle import (ClosedLoopEquilibrium, EquilibriumSolution,
                      closed_loop_equilibrium, recover_multipliers, solve_vi)

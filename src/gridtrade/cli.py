@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands: ``simulate`` (closed-loop run with CSV/JSON outputs),
-``validate`` (configuration and optimality-condition checks),
+``validate`` (configuration checks and each load era's penalty certificate),
 ``equilibrium`` (centralized solve with multiplier recovery),
 ``reduced`` (quasi-steady-state model run).
 
 Exit codes: 0 ok, 1 validation failure or unwritable output (checked
-before the run), 2 runtime failure, 3 acceptance-check failure.
+before the run), 2 runtime failure, 3 acceptance-check failure.  An
+oracle failure exits 1 from ``validate`` and 2 from the others.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from dataclasses import replace
 import numpy as np
 
 from .engine import KKT_THRESHOLD, ScenarioError, Scenario, run_scenario
-from .game import check_penalty_bounds
 from .integrate import IntegrationError
-from .oracle import game_map_matrix, solve_vi
+from .oracle import closed_loop_equilibrium, game_map_matrix, solve_vi
 
 
 def _load(path):
@@ -49,7 +49,8 @@ def _apply_overrides(scn, args):
                    controller=replace(scn.controller, **ctrl))
 
 
-def _cmd_simulate(args, reduced=False):
+def _cmd_simulate(args):
+    reduced = args.command == "reduced"
     scn = _load(args.scenario)
     outdir = args.out or os.path.join("out", scn.name + ("-reduced" if reduced
                                                          else ""))
@@ -80,6 +81,29 @@ def _cmd_simulate(args, reduced=False):
     return 0
 
 
+def penalty_certificate(g, cp):
+    """Penalty adequacy of game ``g`` under controller ``cp``, per box in
+    ``g.boxes`` order: the force the box needs at :func:`solve_vi`'s
+    equilibrium (its recovered stationarity gap, 0 when inactive; the
+    penalty is exact when the cap ``g.boxes.force`` exceeds it, Han &
+    Mangasarian, *Math. Programming* 17, 1979), whether the cap falls
+    short or the attractor (:func:`closed_loop_equilibrium`) saturates
+    it, and the attractor's relative gaps to the equilibrium in u, x and
+    r_i lambda_i, as AC3 measures them.  Returns (solution, attractor,
+    need, inadequate, gaps); a solve's RuntimeError propagates."""
+    sol, att = solve_vi(g), closed_loop_equilibrium(g, cp)
+    rec = sol.recovery
+    forces = np.zeros(g.layout.size)
+    forces[rec.active_lower | rec.active_upper] = rec.box_forces
+    need = np.abs(forces[g.boxes.pos])
+    cs = att.controller
+    gaps = [float((np.abs(a - b) / np.maximum(np.abs(b), 1.0)).max())
+            for a, b in ((cs.u, sol.u_star), (cs.xhat, sol.x_star),
+                         (g.weights.r[:, None] * cs.lam, sol.lambda_star))]
+    bad = (need >= g.boxes.force) | np.isin(att.regimes, ("below", "above"))
+    return sol, att, need, bad, gaps
+
+
 def _cmd_validate(args):
     scn = _load(args.scenario)
     g = scn.games[0]
@@ -90,17 +114,23 @@ def _cmd_validate(args):
     managed = scn.topo.managed_lines
     print("managed-line partition: ok "
           f"({ {i: list(v) for i, v in managed.items()} })")
-    sol = solve_vi(g)
-    print(f"equilibrium solve: {sol.method}, {sol.iterations} extragradient "
-          f"iterations, residual {sol.residual:.2e}")
-    slack_V, slack_Il = check_penalty_bounds(g, sol.lambda_star,
-                                             sol.gamma_star)
-    print("penalty slack (voltage): "
-          + ", ".join(f"{v:.2f}" for v in slack_V))
-    print("penalty slack (lines):   "
-          + ", ".join(f"{v:.2f}" for v in slack_Il))
-    if (slack_V < 0).any() or (slack_Il < 0).any():
-        print("warning: some penalty weights sit below the multiplier bound")
+    boxes = np.array([f"V{i}" for i in range(1, g.n + 1)]
+                     + [f"Il{k}" for k in range(1, g.m + 1)])
+    short = []
+    for era, ge in enumerate(scn.games):
+        sol, att, need, bad, gaps = penalty_certificate(ge, scn.controller)
+        print(f"load era {era}: equilibrium solve: {sol.method}, "
+              f"{sol.iterations} extragradient iterations, residual "
+              f"{sol.residual:.2e}\n  box       need       cap  attractor")
+        for k, box in enumerate(boxes):
+            print(f"  {box:<4} {need[k]:9.2f} {ge.boxes.force[k]:9.2f}  "
+                  f"{att.regimes[k]:<14} {abs(att.forces[k]):9.2f}")
+        print("  attractor vs equilibrium, relative gaps: u {:.4g}, x {:.4g}, "
+              "weighted multipliers {:.4g}".format(*gaps))
+        short += [f"era {era} {box}" for box in boxes[bad]]
+    if short:
+        print("warning: penalty below its box's need or saturated at the "
+              "attractor: " + ", ".join(short))
     G = game_map_matrix(g)
     mineig = float(np.linalg.eigvalsh(0.5 * (G + G.T)).min())
     print(f"min eigenvalue of the symmetrised game-map matrix: {mineig:.4f}")
@@ -175,22 +205,19 @@ def main(argv=None):
     common(sp, sim=True)
     sp.add_argument("--check", action="store_true")
 
+    run = {"simulate": _cmd_simulate, "reduced": _cmd_simulate,
+           "validate": _cmd_validate, "equilibrium": _cmd_equilibrium}
     args = p.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "reduced":
-            return _cmd_simulate(args, reduced=True)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "equilibrium":
-            return _cmd_equilibrium(args)
+        return run[args.command](args)
     except SystemExit as e:
         return e.code
     except OSError as e:
         print(f"error: cannot write output: {e}", file=sys.stderr)
         return 1
-    return 2
+    except RuntimeError as e:     # the oracle's; runs catch IntegrationError
+        print(f"error: {e}", file=sys.stderr)
+        return 1 if args.command == "validate" else 2
 
 
 if __name__ == "__main__":

@@ -343,31 +343,3 @@ def check_monotonicity(weights: ObjectiveWeights, p_r: float, V_ref) -> np.ndarr
     total = np.sum(r * p_r * V_ref)
     return 2.0 * r * weights.alpha_I + (6 - n) * r * p_r * V_ref - total
 
-
-def check_penalty_bounds(g: GameDefinition, lambda_shared, gamma):
-    """Slack of the penalty-size condition at given equilibrium multipliers.
-
-    ``lambda_shared`` is the common value of ``r_i lambda_i`` (length
-    n + m); ``gamma`` the local-equality multipliers as returned by the
-    oracle's recovery.  In per-r_i units, the force a box face must hold
-    is the entry's smooth gradient plus the coupling force
-    ``q = (A^T lambda_shared - gamma D) / r_i``; at an active lower face
-    it equals the box force that :func:`~gridtrade.oracle.recover_multipliers`
-    reports, divided by r_i.  The bound ``alpha (hi - ref) + |q|`` covers
-    that force on either face, whichever sign q has.  Returns
-    ``(slack_V, slack_Il)``, the penalty minus the bound; negative entries
-    flag penalties too small for that constraint.
-    """
-    lam = np.asarray(lambda_shared, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    lay = g.layout
-    w = g.weights
-    p = g.plant
-    AT = g.constraints.A_full.T
-    q_V = (AT[lay.ix_V] @ lam - gamma) / w.r
-    need_V = w.alpha_V * (p.V_max - p.V_ref) + np.abs(q_V)
-    slack_V = g.penalties.rho_V - need_V
-    q_Il = AT[lay.ix_line] @ lam / g.r_edge
-    need_Il = g.alpha_Il_edge * (p.Il_max - p.Il_ref) + np.abs(q_Il)
-    slack_Il = g.rho_Il_edge - need_Il
-    return slack_V, slack_Il

@@ -49,7 +49,7 @@ def ref_scenario():
 
 @pytest.fixture(scope="session")
 def ref_game(ref_scenario):
-    return ref_scenario.game()
+    return ref_scenario.games[0]
 
 
 @pytest.fixture(scope="session")

@@ -156,7 +156,7 @@ class TestAcceptance:
     def test_ac6_singular_perturbation(self):
         def slow_coords(traj, reduced):
             """The reduced model's blocks, read through either layout."""
-            lay, slow = (StateLayout(red.game(), r) for r in (reduced, True))
+            lay, slow = (StateLayout(red.games[0], r) for r in (reduced, True))
             at = {**lay.plant, **lay.ctrl}
             return np.hstack([traj.y[:, at[k]]
                               for k in {**slow.plant, **slow.ctrl}])

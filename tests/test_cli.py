@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import gridtrade as gt
 from gridtrade import cli, engine
 from gridtrade.cli import main
-from gridtrade.engine import Scenario, ScenarioError
+from gridtrade.engine import ClosedLoop, Scenario, ScenarioError
 from gridtrade.oracle import game_map_matrix
 
 from conftest import RING4_FILE, ring4_dict
@@ -30,9 +31,48 @@ class TestValidate:
         assert "3.24" in out              # price margin
         assert "monotonicity" in out
         assert "partition: ok" in out
-        G = game_map_matrix(Scenario.from_file(RING4_FILE).game())
+        G = game_map_matrix(Scenario.from_file(RING4_FILE).games[0])
         mineig = np.linalg.eigvalsh(0.5 * (G + G.T)).min()
         assert f"game-map matrix: {mineig:.4f}\n" in out
+
+    def test_certificate_of_every_era(self, capsys):
+        """Both load eras: DGU 1's need against its cap and its saturated
+        attractor, DGU 4 sliding, and the attractor's gaps to the
+        equilibrium; the inadequate penalty is warned about, not
+        refused."""
+        assert main(["validate", str(RING4_FILE)]) == 0
+        out = capsys.readouterr().out
+        era0, era1 = out.split("load era 1:")
+        for text, need, force, gaps in [
+                (era0, "1935.67", "745.56", "u 0.0002315, x 0.9082, "
+                 "weighted multipliers 1.368"),
+                (era1, "1916.93", "726.88", "u 0.0002757, x 0.8847, "
+                 "weighted multipliers 1.368")]:
+            assert f"  V1     {need}   1207.20  below            1207.20\n" \
+                in text
+            assert f"  V4        0.00   1250.04  lower-sliding     {force}\n" \
+                in text
+            assert text.count("interior") == 6
+            assert f"relative gaps: {gaps}\n" in text
+        assert ("warning: penalty below its box's need or saturated at the "
+                "attractor: era 0 V1, era 1 V1\n") in out
+
+    def test_predicts_ac3(self, long_run, ref_post_game, capsys):
+        """Era 1's printed gaps are those the acceptance check AC3 measures
+        at the end of the long run, which settles on the attractor."""
+        main(["validate", str(RING4_FILE)])
+        line = capsys.readouterr().out.split("load era 1:")[1]
+        line = line.split("relative gaps: ")[1].splitlines()[0]
+        printed = [float(part.split()[-1]) for part in line.split(", ")]
+        g = ref_post_game
+        _, cs = ClosedLoop(g, long_run["scenario"].controller).unpack(
+            long_run["traj"].y[-1])
+        sol = gt.solve_vi(g)
+        measured = [
+            (np.abs(a - b) / np.maximum(np.abs(b), 1.0)).max()
+            for a, b in ((cs.u, sol.u_star), (cs.xhat, sol.x_star),
+                         (g.weights.r[:, None] * cs.lam, sol.lambda_star))]
+        assert printed == pytest.approx(measured, rel=1e-3)
 
     def test_bad_scenario_exits_1(self, tmp_path):
         d = ring4_dict()
@@ -111,6 +151,25 @@ class TestValidate:
         (tmp_path / "removed.json").write_text(json.dumps(d))
         assert main(["validate", str(tmp_path / "removed.json")]) == 1
         assert message in capsys.readouterr().err
+
+
+class TestOracleFailure:
+    @pytest.mark.parametrize("command, rc", [
+        ("validate", 1), ("equilibrium", 2), ("simulate", 2), ("reduced", 2)])
+    def test_empty_feasible_set_reported(self, command, rc, tmp_path, capsys):
+        """Boxes that no balanced state meets: the oracle's RuntimeError is
+        reported as an error, not a traceback."""
+        d = ring4_dict(events=[])
+        d["integrator"]["t_end"] = "0.01 s"
+        d["dgus"][0].update(V_min="377 V", V_max="378 V")
+        d["dgus"][1].update(V_min="382 V", V_max="383 V")
+        d["lines"][0].update(Il_min="-1 A", Il_max="1 A")
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(d))
+        out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+        assert main([command, str(path)] + out) == rc
+        assert "error: alternating projection cannot reach the constraint " \
+            "intersection" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -386,7 +386,7 @@ def short_scenario_dict():
 
 class TestClosedLoopAssembly:
     def test_fast_path_matches_reference(self, ref_scenario):
-        g = ref_scenario.game()
+        g = ref_scenario.games[0]
         loop = ClosedLoop(g, ref_scenario.controller)
         rng = np.random.default_rng(33)
         for _ in range(8):
@@ -397,7 +397,7 @@ class TestClosedLoopAssembly:
                                atol=1e-9 * max(1, np.abs(ref).max()))
 
     def test_reduced_fast_path_matches_reference(self, ref_scenario):
-        g = ref_scenario.game()
+        g = ref_scenario.games[0]
         loop = ClosedLoop(g, ref_scenario.controller, reduced=True)
         rng = np.random.default_rng(34)
         for _ in range(5):
@@ -410,7 +410,7 @@ class TestClosedLoopAssembly:
     def test_rk4_step_is_rhs_fast_step(self, ref_scenario, ref_attractor):
         """One rk4_affine step is the textbook RK4 step of rhs_fast, bit
         for bit, from the attractor, where V_1's penalty pushes."""
-        g = ref_scenario.game()
+        g = ref_scenario.games[0]
         loop = ClosedLoop(g, ref_scenario.controller)
         y0 = loop.pack(ref_attractor.plant, ref_attractor.controller)
         assert _kernels.penalty_force(y0[loop.psrc], loop.plo, loop.phi,
@@ -427,7 +427,7 @@ class TestClosedLoopAssembly:
         assert y.tobytes() != y0.tobytes()
 
     def test_pack_unpack_roundtrip(self, ref_scenario):
-        g = ref_scenario.game()
+        g = ref_scenario.games[0]
         rng = np.random.default_rng(35)
         for reduced in (False, True):
             loop = ClosedLoop(g, ref_scenario.controller, reduced=reduced)
@@ -515,7 +515,7 @@ class TestRunScenario:
         """Rate of the derivative energy never exceeds the input power."""
         traj = ref_run["traj"]
         p = ref_scenario.plant
-        g = ref_scenario.game()
+        g = ref_scenario.games[0]
         loop = ClosedLoop(g, ref_scenario.controller)
         for k in range(200, 1000, 97):
             plant, cs = loop.unpack(traj.y[k])
@@ -660,12 +660,12 @@ class TestCommunicationGraphOverride:
         scn = Scenario.from_dict(d)
         assert scn.comm_topo is not None
         assert scn.comm_topo.m == 3
-        g = scn.game()
+        g = scn.games[0]
         assert g.comm_topo.m == 3 and g.topo.m == 4
 
     def test_controller_uses_comm_graph(self, ref_scenario):
         path = gt.MicrogridTopology(4, [(1, 2), (2, 3), (3, 4)], [1, 2, 3])
-        g_ring = ref_scenario.game()
+        g_ring = ref_scenario.games[0]
         g_path = gt.build_game(ref_scenario.topo, ref_scenario.plant,
                                ref_scenario.price, ref_scenario.weights,
                                ref_scenario.penalties, comm_topo=path)
@@ -711,8 +711,8 @@ class TestRuntimeFailure:
             run_scenario(scn, outdir=tmp_path)
         assert str(ei.value) == "non-finite diagnostics E_b, E_r, first at t=0"
         assert ei.value.t_last == 0.0
-        assert ei.value.y_last[engine.StateLayout(scn.game()).plant["I_l"]][0] \
-            == 1e308
+        I_l = engine.StateLayout(scn.games[0]).plant["I_l"]
+        assert ei.value.y_last[I_l][0] == 1e308
         assert list(tmp_path.iterdir()) == []
 
 
@@ -805,7 +805,7 @@ class TestReducedRun:
 
     def test_perturbed_theta_fails_conservation(self, reduced_run):
         scn, _, (traj, diag, _) = reduced_run
-        lay = engine.StateLayout(scn.game(), reduced=True)
+        lay = engine.StateLayout(scn.games[0], reduced=True)
         y = traj.y.copy()
         y[-1, lay.ctrl["theta"].start] += 1e-6
         report = engine._build_report(scn, replace(traj, y=y), diag, lay)
@@ -839,7 +839,7 @@ class TestFastSettlingScalesWithEps:
                         "gamma": list(cs.gamma)}})
             scn = Scenario.from_dict(d)
             traj, _, _ = run_scenario(scn)
-            g = scn.game()
+            g = scn.games[0]
             loop = ClosedLoop(g, scn.controller)
             lay = g.layout
             for k in range(traj.n_samples):

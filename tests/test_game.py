@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import gridtrade as gt
+from gridtrade.cli import penalty_certificate
 from gridtrade.game import (cost, local_gradient, penalty_subgradient,
                             pseudo_gradient)
 
@@ -385,32 +386,39 @@ class TestAssumptionChecks:
             gt.PriceParams(0.0, 1.0)
 
 
-class TestPenaltyBounds:
-    def test_boundary_slack_zero(self):
-        g = make_pair_game(V_ref=0.2, V_box=(-1.0, 1.0), alpha_V=2.0,
-                           rho_V=2.0 * (1.0 - 0.2), rho_Il=40.0)
-        slack_V, slack_Il = gt.check_penalty_bounds(
-            g, np.zeros(g.n + g.m), np.zeros(g.n))
-        assert np.allclose(slack_V, 0.0, atol=1e-14)
+class TestPenaltyCertificate:
+    """``gridtrade validate``'s statement of penalty adequacy, box by box
+    in ``g.boxes`` order (V1..Vn, then the lines)."""
 
-    def test_tiny_penalty_flagged_negative(self):
-        g = make_pair_game(V_ref=0.0, V_box=(-1.0, 1.0), alpha_V=2.0,
-                           rho_V=1e-9, rho_Il=40.0)
-        slack_V, _ = gt.check_penalty_bounds(g, np.zeros(g.n + g.m),
-                                             np.zeros(g.n))
-        assert (slack_V < 0).all()
+    @pytest.mark.parametrize("era, need, force", [(0, 1935.7, 745.6),
+                                                  (1, 1916.9, 726.9)])
+    def test_reference_eras(self, era, need, force, ref_game, ref_post_game,
+                            ref_cp):
+        """DGU 1's lower voltage bound needs more force than its penalty's
+        cap r_1 rho_V, so the attractor saturates it; DGU 4's slides on
+        its bound; every other box is inactive and interior."""
+        g = (ref_game, ref_post_game)[era]
+        _, att, needs, bad, _ = penalty_certificate(g, ref_cp)
+        assert needs[0] == pytest.approx(need, abs=0.05)
+        assert g.boxes.force[0] == pytest.approx(1207.2, abs=0.05)
+        assert att.regimes == ("below", "interior", "interior",
+                               "lower-sliding") + ("interior",) * 4
+        assert abs(att.forces[3]) == pytest.approx(force, abs=0.05)
+        assert (needs[1:] == 0).all()
+        assert bad.tolist() == [True] + [False] * 7
 
-    def test_reference_scenario_slack_signs(self, ref_game, ref_solution):
-        """DGU 1's lower voltage bound needs more force than its penalty
-        offers (recover_multipliers reports 1936, above r_1 rho_V = 1207);
-        every other penalty suffices."""
-        slack_V, slack_Il = gt.check_penalty_bounds(
-            ref_game, ref_solution.lambda_star,
-            ref_solution.gamma_star)
-        force = ref_solution.recovery.box_forces[0] / ref_game.weights.r[0]
-        assert slack_V[0] <= ref_game.penalties.rho_V[0] - force < 0
-        assert (slack_V[1:] > 0).all()
-        assert (slack_Il > 0).all()
+    def test_tiny_penalty_flagged(self):
+        g = make_pair_game(rho_V=1e-9)
+        _, att, need, bad, _ = penalty_certificate(g, gt.ControllerParams())
+        assert need[1] == pytest.approx(2.41, abs=0.005)
+        assert att.regimes[:2] == ("below", "below")
+        assert bad.tolist() == [True, True, False]
+
+    def test_sufficient_penalty_not_flagged(self):
+        _, _, need, bad, _ = penalty_certificate(make_pair_game(),
+                                                 gt.ControllerParams())
+        assert need[1] == pytest.approx(2.41, abs=0.005)
+        assert not bad.any()
 
 
 class TestExactPenalty:

@@ -193,7 +193,7 @@ def ring_scenario(n, heads=None):
 
 
 def ring_game(n, heads=None):
-    return ring_scenario(n, heads).game()
+    return ring_scenario(n, heads).games[0]
 
 
 class TestVi:

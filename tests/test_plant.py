@@ -34,7 +34,7 @@ class TestPlantRhs:
 
     def test_zero_at_oracle_equilibrium(self, ref_scenario, ref_solution):
         # balance residual, in equation units, relative to the load scale
-        g = ref_scenario.game()
+        g = ref_scenario.games[0]
         I, V, Il = g.layout.split(ref_solution.x_star)
         state = PlantState(I, V, Il)
         d = plant_rhs(state, ref_solution.u_star, ref_scenario.plant,

@@ -118,7 +118,7 @@ class TestDeterminism:
             scn = Scenario.from_dict(d)
             traj, diag, _ = run_scenario(scn)
             paths.append(tmp_path / name)
-            write_csv(paths[-1], traj, diag, scn.game())
+            write_csv(paths[-1], traj, diag, scn.games[0])
         assert traj.n_samples == 1002
         assert paths[0].read_bytes() == paths[1].read_bytes()
 

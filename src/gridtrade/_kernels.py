@@ -4,11 +4,11 @@ The closed-loop right-hand side is M y + c plus a piecewise-constant
 penalty correction on a few entries (:func:`penalty_force`, the one
 penalty rule outside :mod:`pwa`, which ``game.local_gradient`` also
 applies).  :func:`affine_rhs` writes that right-hand side once; it is
-``ClosedLoop.rhs_fast`` and what :func:`rk4_affine`, the package's one
-RK4, steps with four BLAS matvecs per step.  :func:`affine_probe` reads
-the matrix and the constant term of an affine map off unit-vector
-probes.  The feasible-set projection of the equilibrium oracle
-alternates an affine projection with a box clip.
+what :func:`rk4_affine`, the package's one RK4, steps with four BLAS
+matvecs per step.  :func:`affine_probe` reads the matrix and the
+constant term of an affine map off unit-vector probes.  The
+feasible-set projection of the equilibrium oracle alternates an affine
+projection with a box clip.
 """
 
 from __future__ import annotations
@@ -22,6 +22,16 @@ def penalty_force(v, lo, hi, force):
     sel = np.where(v < lo, force, 0.0)
     sel -= np.where(v > hi, force, 0.0)
     return sel
+
+
+def matvec(A, v):
+    """``A @ v`` for each row of ``v``, by the gemv one row alone gets."""
+    return (A @ v[..., None])[..., 0]
+
+
+def rowdot(a, b):
+    """``a @ b`` for each row of ``a`` and ``b``, by one dot per row."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def affine_probe(f, size):

@@ -5,9 +5,9 @@ Subcommands: ``simulate`` (closed-loop run with CSV/JSON outputs),
 ``equilibrium`` (centralized solve with multiplier recovery),
 ``reduced`` (quasi-steady-state model run).
 
-Exit codes: 0 ok, 1 validation failure or unwritable output (checked
-before the run), 2 runtime failure, 3 acceptance-check failure.  An
-oracle failure exits 1 from ``validate`` and 2 from the others.
+Exit codes: 0 ok, 1 validation failure, unwritable output (checked
+before the run) or closed stdout, 2 runtime failure, 3 acceptance-check
+failure.  An oracle failure exits 1 from ``validate``, 2 from the others.
 """
 
 from __future__ import annotations
@@ -209,9 +209,14 @@ def main(argv=None):
            "validate": _cmd_validate, "equilibrium": _cmd_equilibrium}
     args = p.parse_args(argv)
     try:
-        return run[args.command](args)
+        code = run[args.command](args)
+        sys.stdout.flush()       # a reader that left (``| head``) shows here
+        return code
     except SystemExit as e:
         return e.code
+    except BrokenPipeError:      # no message; devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as e:
         print(f"error: cannot write output: {e}", file=sys.stderr)
         return 1

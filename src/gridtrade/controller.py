@@ -4,17 +4,18 @@ Per agent: a fast consensus estimator tracking the total generated
 current, an integrator-style control voltage fed by the grid current, a
 decision copy of the agent's physical block descending its penalized
 cost, coupling-constraint multipliers driven toward weighted consensus,
-auxiliary consensus multipliers and a local-equality multiplier.
+auxiliary consensus multipliers and a local-equality multiplier.  The
+functions below also take a block of states, one per row of each array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 
 import numpy as np
 
+from ._kernels import matvec, rowdot
 from .game import GameDefinition, local_gradient, local_gradient_interval
 from .plant import PlantState, plant_rhs
 from .topology import MicrogridTopology, laplacian, laplacian_pinv
@@ -68,8 +69,8 @@ class ControllerState:
         return cls(**{k: np.zeros(s) for k, s in cls.shapes(g).items()})
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, f.name).ravel()
-                               for f in fields(self)])
+        return np.concatenate([getattr(self, f.name).reshape(
+            *self.u.shape[:-1], -1) for f in fields(self)], -1)
 
     @classmethod
     def from_vector(cls, y, g: GameDefinition):
@@ -90,22 +91,21 @@ def _equations(cs: ControllerState, plant_I, g: GameDefinition,
     d_theta; d_gamma).  The decision copy's own current estimate drives
     the consensus estimator and the local voltage balance.
     """
-    n = g.n
     lay = g.layout
     w = g.weights
     con = g.constraints
     Lap = laplacian(g.comm_topo)
-    Ihat = cs.xhat[lay.ix_I]
+    Ihat = cs.xhat[..., lay.ix_I]
 
-    e_ups = -cs.upsilon - Lap @ cs.upsilon - Lap @ cs.nu + n * Ihat
-    e_nu = Lap @ cs.upsilon
+    e_nu = matvec(Lap, cs.upsilon)
+    e_ups = -cs.upsilon - e_nu - matvec(Lap, cs.nu) + g.n * Ihat
     d_u = -w.r * w.alpha_u * (cs.u - g.plant.u_ref) + cs.gamma \
         - cp.eps_u * np.asarray(plant_I, dtype=float)
     rAtLam = w.r[lay.agent_of_pos] * con.agent_cols(cs.lam)
     W = w.r[:, None] * cs.lam + cs.theta
     d_lam = w.r[:, None] * (con.agent_rows(cs.xhat) - Lap @ W)
     d_theta = Lap @ (w.r[:, None] * cs.lam)
-    d_gamma = -cs.u + g.plant.R * Ihat + cs.xhat[lay.ix_V]
+    d_gamma = -cs.u + g.plant.R * Ihat + cs.xhat[..., lay.ix_V]
     return e_ups, e_nu, d_u, rAtLam, d_lam, d_theta, d_gamma
 
 
@@ -122,7 +122,7 @@ def controller_rhs(cs: ControllerState, plant_I, g: GameDefinition,
     lay = g.layout
     r_row = g.weights.r[lay.agent_of_pos]
     d_xhat = -r_row * local_gradient(g, cs.xhat, cs.upsilon) - rAtLam \
-        - cs.gamma[lay.agent_of_pos] * g.constraints.D_stack
+        - cs.gamma[..., lay.agent_of_pos] * g.constraints.D_stack
     return ControllerState(e_ups / cp.eps_fast, e_nu / cp.eps_fast, d_u,
                            d_xhat, d_lam, d_theta, d_gamma)
 
@@ -134,22 +134,21 @@ def fast_equilibrium(Ihat, topo):
     state solves ``L nu = n Ihat - upsilon`` on the zero-mean subspace,
     which zeroes the estimator dynamics.
     """
-    Ihat = np.asarray(Ihat, dtype=float)
-    n = topo.n
-    ups = np.full(n, Ihat.sum())
-    nu = laplacian_pinv(topo) @ (n * Ihat - ups)
-    return ups, nu
+    # in C order each row is summed as a lone vector is (pairwise)
+    Ihat = np.ascontiguousarray(Ihat, dtype=float)
+    ups = np.full(Ihat.shape, Ihat.sum(-1)[..., None])
+    return ups, matvec(laplacian_pinv(topo), topo.n * Ihat - ups)
 
 
 @dataclass
 class KktResidual:
     """Per-equation residual norms of the distributed optimality system."""
 
-    lines: np.ndarray        # 7 entries, inf-norm over agents/components
+    lines: np.ndarray   # (..., 7): inf-norm over agents/components per row
 
     @property
-    def max(self) -> float:
-        return float(self.lines.max())
+    def max(self):
+        return self.lines.max(-1)
 
 
 def kkt_residual(cs: ControllerState, g: GameDefinition,
@@ -166,30 +165,29 @@ def kkt_residual(cs: ControllerState, g: GameDefinition,
     """
     lay = g.layout
     e_ups, e_nu, d_u, rAtLam, d_lam, d_theta, d_gamma = \
-        _equations(cs, cs.xhat[lay.ix_I], g, cp)
+        _equations(cs, cs.xhat[..., lay.ix_I], g, cp)
     lo, hi = local_gradient_interval(g, cs.xhat, cs.upsilon)
     r_row = g.weights.r[lay.agent_of_pos]
-    shift = rAtLam + cs.gamma[lay.agent_of_pos] * g.constraints.D_stack
+    shift = rAtLam + cs.gamma[..., lay.agent_of_pos] * g.constraints.D_stack
     set_lo = r_row * lo + shift
     set_hi = r_row * hi + shift
     l4 = np.where(set_lo > 0.0, set_lo, np.where(set_hi < 0.0, -set_hi, 0.0))
-    return KktResidual(np.array([np.abs(l).max() for l in (
-        e_ups, e_nu, d_u, l4, d_gamma, d_lam, d_theta)]))
+    lines = [np.abs(l).reshape(*cs.u.shape[:-1], -1).max(-1) for l in (
+        e_ups, e_nu, d_u, l4, d_gamma, d_lam, d_theta)]
+    return KktResidual(np.stack(lines, -1))
 
 
 def consensus_errors(cs: ControllerState, g: GameDefinition):
     """(estimate spread, weighted multiplier spread), both inf-norms."""
-    ups_spread = float(cs.upsilon.max() - cs.upsilon.min())
+    ups_spread = cs.upsilon.max(-1) - cs.upsilon.min(-1)
     rl = g.weights.r[:, None] * cs.lam
-    lam_spread = float((rl.max(0) - rl.min(0)).max())
+    lam_spread = (rl.max(-2) - rl.min(-2)).max(-1)
     return ups_spread, lam_spread
 
 
-@lru_cache(maxsize=64)
 def boundary_layer_energy_matrix(topo: MicrogridTopology) -> np.ndarray:
     """Quadratic form of the estimator-error energy on the communication
-    graph ``topo``; PSD by construction, computed once per graph and
-    read-only."""
+    graph ``topo``; PSD by construction."""
     Lap = laplacian(topo)
     n = topo.n
     sigma = float(np.linalg.norm(Lap, 2))
@@ -197,7 +195,6 @@ def boundary_layer_energy_matrix(topo: MicrogridTopology) -> np.ndarray:
     Q[:n, :n] += 0.5 * (np.eye(n) + Lap)
     Q[:n, n:] += 0.5 * Lap
     Q[n:, :n] += 0.5 * Lap
-    Q.flags.writeable = False
     return Q
 
 
@@ -211,18 +208,17 @@ def lyapunov_diagnostics(plant_state: PlantState, cs: ControllerState,
     theta, gamma) with the estimator at quasi-steady state, the reduced
     model of the singular-perturbation argument.
     """
-    ups_star, nu_star = fast_equilibrium(cs.xhat[g.layout.ix_I], g.comm_topo)
-    s_b = np.concatenate([cs.upsilon - ups_star, cs.nu - nu_star])
+    ups_star, nu_star = fast_equilibrium(cs.xhat[..., g.layout.ix_I],
+                                         g.comm_topo)
+    s_b = np.concatenate([cs.upsilon - ups_star, cs.nu - nu_star], -1)
     Q = boundary_layer_energy_matrix(g.comm_topo)
-    E_b = float(s_b @ (Q @ s_b))
+    E_b = rowdot(s_b, matvec(Q, s_b))
 
     d_plant = plant_rhs(plant_state, cs.u, g.plant, g.topo)
     d = controller_rhs(replace(cs, upsilon=ups_star), plant_state.I, g, cp)
     p = g.plant
-    deriv_energy = 0.5 * (d_plant.I @ (p.L * d_plant.I)
-                          + d_plant.I_l @ (p.L_l * d_plant.I_l)
-                          + d_plant.V @ (p.C * d_plant.V))
-    g_d = np.concatenate([d.u, d.xhat, d.lam.ravel(), d.theta.ravel(),
-                          d.gamma])
-    E_r = float(deriv_energy + (0.5 / cp.eps_u) * (g_d @ g_d))
-    return E_b, E_r
+    deriv_energy = 0.5 * (rowdot(d_plant.I, p.L * d_plant.I)
+                          + rowdot(d_plant.I_l, p.L_l * d_plant.I_l)
+                          + rowdot(d_plant.V, p.C * d_plant.V))
+    g_d = d.to_vector()[..., 2 * g.n:]      # the blocks after upsilon, nu
+    return E_b, deriv_energy + (0.5 / cp.eps_u) * rowdot(g_d, g_d)

@@ -12,7 +12,7 @@ the exact system matrix of each load era when that era starts
 regime (``pwa``); ``integrate.run_eras`` emits the sampled rows for
 both.  Only one era's dense operator is alive at a time: N² doubles for
 N = 4n² + 10n states, 11.2 MB at n = 16 and 51.8 MB at n = 24.
-Diagnostics are evaluated on the sampled rows.
+Diagnostics take a load era's sampled rows in one call each.
 """
 
 from __future__ import annotations
@@ -380,14 +380,14 @@ class StateLayout:
                               + [getattr(cs, k).ravel() for k in self.ctrl])
 
     def unpack(self, y):
-        """Plant and controller states of the flat state ``y``, as views
-        into it apart from the reduced model's upsilon and nu."""
-        plant, ctrl = ({k: y[s].reshape(self.shapes[k])
+        """Plant and controller states of the flat state(s) ``y``, as
+        views into it apart from the reduced model's upsilon and nu."""
+        plant, ctrl = ({k: y[..., s].reshape(y.shape[:-1] + self.shapes[k])
                         for k, s in blocks.items()}
                        for blocks in (self.plant, self.ctrl))
         if self.reduced:
             ctrl["upsilon"], ctrl["nu"] = fast_equilibrium(
-                ctrl["xhat"][self.g.layout.ix_I], self.g.comm_topo)
+                ctrl["xhat"][..., self.g.layout.ix_I], self.g.comm_topo)
         return PlantState(**plant), ControllerState(**ctrl)
 
 
@@ -405,16 +405,7 @@ class ClosedLoop(StateLayout):
         super().__init__(g, reduced)
         self.cp = cp
         self.plo, self.phi, self.force = g.boxes.lo, g.boxes.hi, g.boxes.force
-        self._assemble()
 
-    # -- reference (readable) dynamics ------------------------------------
-    def rhs_reference(self, y):
-        plant, cs = self.unpack(y)
-        return self.pack(plant_rhs(plant, cs.u, self.g.plant, self.g.topo),
-                         controller_rhs(cs, plant.I, self.g, self.cp))
-
-    # -- affine + penalty representation -----------------------------------
-    def _assemble(self):
         def smooth(y):
             dy = self.rhs_reference(y)
             dy[self.psrc] -= _kernels.penalty_force(
@@ -422,9 +413,11 @@ class ClosedLoop(StateLayout):
             return dy
 
         self.M, self.c = _kernels.affine_probe(smooth, self.size)
-        # the right-hand side rk4_affine steps: M y + c plus the penalties
-        self.rhs_fast = _kernels.affine_rhs(self.M, self.c, self.psrc,
-                                            self.plo, self.phi, self.force)
+
+    def rhs_reference(self, y):
+        plant, cs = self.unpack(y)
+        return self.pack(plant_rhs(plant, cs.u, self.g.plant, self.g.topo),
+                         controller_rhs(cs, plant.I, self.g, self.cp))
 
     def flow(self) -> PiecewiseAffineFlow:
         """Exact regime-aware propagator of this loop (``pwa`` method)."""
@@ -546,21 +539,19 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
 
 
 def _diagnostics(traj: Trajectory, games, cp, lay: StateLayout):
+    """The ``_DIAG_COLUMNS`` of every row, one call each per load era."""
     rows = np.zeros((traj.n_samples, len(_DIAG_COLUMNS)))
-    for k in range(traj.n_samples):
-        g = games[traj.epoch[k]]
-        plant, cs = lay.unpack(traj.y[k])
-        res = kkt_residual(cs, g, cp)
-        ups_spread, lam_spread = consensus_errors(cs, g)
-        E_b, E_r = lyapunov_diagnostics(plant, cs, g, cp)
-        v_viol = float(np.maximum(g.plant.V_min - plant.V, 0).max()
-                       + np.maximum(plant.V - g.plant.V_max, 0).max())
-        il_viol = 0.0
-        if g.m:
-            il_viol = float(np.maximum(g.plant.Il_min - plant.I_l, 0).max()
-                            + np.maximum(plant.I_l - g.plant.Il_max, 0).max())
-        rows[k] = [res.max, *res.lines, ups_spread, lam_spread, E_b, E_r,
-                   v_viol, il_viol]
+    for e, g in enumerate(games):
+        era = traj.epoch == e
+        plant, cs = lay.unpack(traj.y[era])
+        lines = kkt_residual(cs, g, cp).lines
+        viol = [np.maximum(lo - v, 0).max(-1, initial=0.0)
+                + np.maximum(v - hi, 0).max(-1, initial=0.0)
+                for v, lo, hi in ((plant.V, g.plant.V_min, g.plant.V_max),
+                                  (plant.I_l, g.plant.Il_min, g.plant.Il_max))]
+        rows[era] = np.column_stack(
+            [lines.max(-1), lines, *consensus_errors(cs, g),
+             *lyapunov_diagnostics(plant, cs, g, cp), *viol])
     return rows
 
 
@@ -590,13 +581,9 @@ def _equilibrium_export(games, solved):
 
 def _convergence_time(t, kkt, threshold):
     """Earliest sample time after which the residual stays below threshold."""
-    below = kkt < threshold
-    if not below[-1]:
-        return None
-    idx = len(below) - 1
-    while idx > 0 and below[idx - 1]:
-        idx -= 1
-    return float(t[idx])
+    above = np.flatnonzero(kkt >= threshold)
+    k = above[-1] + 1 if above.size else 0
+    return float(t[k]) if k < len(t) else None
 
 
 def _build_report(scenario, traj, diag, lay: StateLayout):

@@ -96,14 +96,15 @@ class ConstraintData:
         self.layout = layout
 
     def agent_rows(self, x) -> np.ndarray:
-        """Rows ``A_i x_i - s_i`` of every agent, shape (n, n + m); they
-        sum to ``A_full @ x - s_A_full``."""
+        """Rows ``A_i x_i - s_i`` of every agent, shape (..., n, n + m);
+        they sum to ``A_full @ x - s_A_full``."""
         n = self.layout.topo.n
         # column i sums the products A x over agent i's block
-        by_agent = np.add.reduceat(self.A_full * x, self.layout.offsets[:-1],
-                                   axis=1)
-        by_agent[:n] -= np.diag(self.s_A_full[:n])
-        return by_agent.T
+        by_agent = np.add.reduceat(
+            self.A_full * np.atleast_1d(x)[..., None, :],
+            self.layout.offsets[:-1], axis=-1)
+        by_agent[..., :n, :] -= np.diag(self.s_A_full[:n])
+        return np.swapaxes(by_agent, -1, -2)
 
     def agent_cols(self, lam) -> np.ndarray:
         """``A_i^T lam_i`` of every agent, stacked in block order: entry j
@@ -111,8 +112,8 @@ class ConstraintData:
         of block i.  The adjoint of :meth:`agent_rows` without its load
         term."""
         lay = self.layout
-        every = self.A_full.T @ np.asarray(lam, dtype=float).T
-        return every[np.arange(lay.size), lay.agent_of_pos]
+        every = self.A_full.T @ np.swapaxes(lam, -1, -2)
+        return every[..., np.arange(lay.size), lay.agent_of_pos]
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,15 +263,15 @@ def local_gradient(g: GameDefinition, x, upsilon, with_penalty=True):
     w = g.weights
     p = g.plant
     I, V, Il = lay.split(x)
-    out = np.zeros(lay.size)
+    out = np.zeros(x.shape)
     price_est = g.price.l - g.price.p_r * upsilon
-    out[lay.ix_I] = (w.alpha_I * (I - p.I_ref) - p.V_ref * price_est
-                     + g.price.p_r * p.V_ref * I)
-    out[lay.ix_V] = w.alpha_V * (V - p.V_ref)
-    out[lay.ix_line] = g.alpha_Il_edge * (Il - p.Il_ref)
+    out[..., lay.ix_I] = (w.alpha_I * (I - p.I_ref) - p.V_ref * price_est
+                          + g.price.p_r * p.V_ref * I)
+    out[..., lay.ix_V] = w.alpha_V * (V - p.V_ref)
+    out[..., lay.ix_line] = g.alpha_Il_edge * (Il - p.Il_ref)
     if with_penalty:
         b = g.boxes
-        out[b.pos] -= penalty_force(x[b.pos], b.lo, b.hi, b.rho)
+        out[..., b.pos] -= penalty_force(x[..., b.pos], b.lo, b.hi, b.rho)
     return out
 
 
@@ -287,14 +288,14 @@ def local_gradient_interval(g: GameDefinition, x, upsilon):
     """
     base = local_gradient(g, x, upsilon, with_penalty=False)
     b = g.boxes
-    v = np.asarray(x, dtype=float)[b.pos]
+    at = (..., b.pos)      # the penalized entries (of every row)
+    v = np.asarray(x, dtype=float)[at]
     v = np.where(np.abs(v - b.lo) <= _KINK_TOL, b.lo,
                  np.where(np.abs(v - b.hi) <= _KINK_TOL, b.hi, v))
     # penalty_subgradient's interval, entry by entry
-    lo = base.copy()
-    hi = base.copy()
-    lo[b.pos] += np.where(v <= b.lo, -b.rho, np.where(v <= b.hi, 0.0, b.rho))
-    hi[b.pos] += np.where(v < b.lo, -b.rho, np.where(v < b.hi, 0.0, b.rho))
+    lo, hi = base.copy(), base.copy()
+    lo[at] += np.where(v <= b.lo, -b.rho, np.where(v <= b.hi, 0.0, b.rho))
+    hi[at] += np.where(v < b.lo, -b.rho, np.where(v < b.hi, 0.0, b.rho))
     return lo, hi
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ._kernels import matvec
 from .topology import MicrogridTopology, incidence_matrix
 
 
@@ -117,12 +118,13 @@ def plant_rhs(state: PlantState, u, params: PlantParams,
     ``L_l dI_l = -R_l I_l - B^T V``.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (params.n,):
-        raise ValueError(f"u must have shape ({params.n},)")
+    if u.shape[-1:] != (params.n,):
+        raise ValueError(f"u must have shape (..., {params.n})")
     B = incidence_matrix(topo)
     dI = (-state.V - params.R * state.I + u) / params.L
-    dV = (state.I + B @ state.I_l - state.V / params.Z_L - params.I_L) / params.C
-    dIl = (-params.R_l * state.I_l - B.T @ state.V) / params.L_l
+    dV = (state.I + matvec(B, state.I_l) - state.V / params.Z_L
+          - params.I_L) / params.C
+    dIl = (-params.R_l * state.I_l - matvec(B.T, state.V)) / params.L_l
     return PlantState(dI, dV, dIl)
 
 

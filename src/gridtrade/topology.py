@@ -161,9 +161,7 @@ class AgentLayout:
         for i, edges in enumerate(self.edge_lists):
             for j, k in enumerate(edges):
                 self.ix_line[k - 1] = self.offsets[i] + 2 + j
-        self.agent_of_pos = np.zeros(self.size, dtype=int)
-        for i in range(n):
-            self.agent_of_pos[self.offsets[i]:self.offsets[i + 1]] = i
+        self.agent_of_pos = np.repeat(np.arange(n), self.dims)
         self.manager_of_edge = np.array(topo.managers) - 1
 
     def block(self, i: int) -> slice:
@@ -180,6 +178,6 @@ class AgentLayout:
         return x
 
     def split(self, x):
-        """Inverse of :meth:`stack`: returns (I, V, I_l)."""
+        """Inverse of :meth:`stack` along the last axis: (I, V, I_l)."""
         x = np.asarray(x)
-        return x[self.ix_I], x[self.ix_V], x[self.ix_line]
+        return x[..., self.ix_I], x[..., self.ix_V], x[..., self.ix_line]

@@ -29,6 +29,27 @@ def ring4_dict(**overrides) -> dict:
     return d
 
 
+def ring_scenario(n, heads=None):
+    """n DGUs on a ring, repeating ring4's per-agent records; alpha_I and
+    the base price grow with n so the game stays strictly monotone and
+    the price margin positive.  Edge k joins DGU k to DGU k + 1 and is
+    managed by its head, or by its tail where ``heads[k - 1]`` is
+    False."""
+    heads = [True] * n if heads is None else heads
+    d = ring4_dict()
+    d["topology"] = {"n": n,
+                     "edges": [[k + 1, (k + 1) % n + 1] for k in range(n)],
+                     "managers": [k + 1 if h else (k + 1) % n + 1
+                                  for k, h in enumerate(heads)]}
+    d["dgus"] = [d["dgus"][i % 4] for i in range(n)]
+    d["lines"] = [d["lines"][i % 4] for i in range(n)]
+    d["weights"] = [dict(w, alpha_I=w["alpha_I"] * 0.6 * n)
+                    for w in (d["weights"][i % 4] for i in range(n))]
+    d["price"]["l"] = 5.0 * n / 4
+    d["penalties"] = {"rho_V": [1200] * n, "rho_Il": [1000] * n}
+    return gt.Scenario.from_dict(d)
+
+
 def subgradient_selection(interval) -> float:
     """Minimum-norm element of a subdifferential interval."""
     lo, hi = interval

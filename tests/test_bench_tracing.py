@@ -120,19 +120,19 @@ def test_tracer_spans_a_short_run(tmp_path):
     assert metrics["kernels.rk4_steps"] == 200
     assert metrics["engine.csv_bytes"] > 0
     assert metrics["engine.assemble_calls"] == 1
-    # one span of each per-row diagnostic on each of the 3 rows
+    # one span of each diagnostic for the one load era's 3 rows
     names = [span[0] for span in tracer.spans]
     assert len(diag) == 3
-    assert names.count("controller.kkt_residual") == 3
-    assert names.count("oracle.lyapunov") == 3
+    assert names.count("controller.kkt_residual") == 1
+    assert names.count("oracle.lyapunov") == 1
     # every wrapper is taken out again
     assert all(getattr(engine, k) is v for k, v in originals.items())
 
 
 def test_tracer_spans_a_pwa_run(tmp_path):
-    """The ``pwa`` branch of the run under the tracer: one assembly and
-    one ``propagate`` span per load era, the exponentials counted, and
-    every wrapper taken out again."""
+    """The ``pwa`` branch of the run under the tracer: one assembly, one
+    ``propagate`` span and one span of each diagnostic per load era, the
+    exponentials counted, and every wrapper taken out again."""
     tracing = load_tracing()
     scn = engine.Scenario.from_dict(ring4_dict(
         integrator={"method": "pwa", "dt": "1e-5 s", "t_end": "2e-3 s"},
@@ -147,6 +147,8 @@ def test_tracer_spans_a_pwa_run(tmp_path):
     assert metrics["engine.assemble_calls"] == eras
     names = [span[0] for span in tracer.spans]
     assert names.count("pwa.propagate") == eras
+    assert names.count("controller.kkt_residual") == eras
+    assert names.count("oracle.lyapunov") == eras
     assert metrics["pwa.expm_calls"] > 0
     assert metrics["kernels.rk4_steps"] == 0
     for owner, before in originals:

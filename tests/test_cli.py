@@ -1,5 +1,8 @@
 import argparse
+import io
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -352,3 +355,28 @@ class TestUnwritableOutput:
         rc = main([command, short_scenario, "--out", str(taken)])
         assert rc == 1
         assert "error: cannot write output:" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    def test_exits_1_without_a_message(self, capsys, monkeypatch, tmp_path):
+        """``gridtrade validate ... | head -1``: the reader leaves, and
+        the next write fails.  The CLI exits 1 without a message, its
+        stdout descriptor on devnull for the interpreter's flush at
+        exit."""
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        try:
+            rc = main(["validate", str(RING4_FILE)])
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert rc == 1
+        assert capsys.readouterr().err == ""

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,9 +7,11 @@ import gridtrade as gt
 from gridtrade import ControllerParams, ControllerState, consensus_errors, \
     controller_rhs, fast_equilibrium, kkt_residual
 from gridtrade._kernels import affine_probe
+from gridtrade.controller import lyapunov_diagnostics
+from gridtrade.engine import StateLayout
 from gridtrade.topology import laplacian
 
-from conftest import make_pair_game, rk4_run
+from conftest import make_pair_game, ring_scenario, rk4_run
 
 CP = ControllerParams(eps_fast=0.01, eps_u=0.1)
 
@@ -221,6 +223,54 @@ class TestConsensusErrors:
             pairwise = max(np.abs(rl[i] - rl[j]).max()
                            for i in range(4) for j in range(i + 1, 4))
             assert consensus_errors(cs, ref_game)[1] == pairwise
+
+
+class TestRowBlocks:
+    """A block of flat states, one per row, gives every row the bits that
+    row gives alone: the unpacked blocks, the KKT lines, the consensus
+    spreads and the energy pair.  A run's diagnostics take a load era's
+    rows in one call."""
+
+    @staticmethod
+    def results(lay, g, y):
+        plant, cs = lay.unpack(y)
+        return ([getattr(plant, f.name) for f in fields(plant)]
+                + [getattr(cs, f.name) for f in fields(cs)]
+                + [kkt_residual(cs, g, CP).lines, *consensus_errors(cs, g),
+                   *lyapunov_diagnostics(plant, cs, g, CP)])
+
+    def assert_rows(self, lay, g, Y):
+        block = self.results(lay, g, Y)
+        alone = [self.results(lay, g, y) for y in Y]
+        for k, b in enumerate(block):
+            stacked = np.stack([np.asarray(a[k]) for a in alone])
+            assert b.shape == stacked.shape
+            assert b.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("reduced", [False, True],
+                             ids=["full", "reduced"])
+    @pytest.mark.parametrize("era", [0, 1])
+    def test_ring4_eras(self, ref_scenario, era, reduced):
+        """Random rows, the era's attractor (penalties on their kinks) and
+        the attractor nudged off it."""
+        g = ref_scenario.games[era]
+        lay = StateLayout(g, reduced)
+        eq = gt.closed_loop_equilibrium(g, CP)
+        y_eq = lay.pack(eq.plant, eq.controller)
+        rng = np.random.default_rng(40 + era)
+        Y = np.vstack([rng.normal(scale=100.0, size=(6, lay.size)), y_eq,
+                       y_eq + rng.normal(scale=1e-3, size=lay.size)])
+        self.assert_rows(lay, g, Y)
+
+    @pytest.mark.parametrize("reduced", [False, True],
+                             ids=["full", "reduced"])
+    def test_ring16(self, reduced):
+        """At n = 16 the estimate sums 16 currents, where a block's sum
+        would add in another order unless each row is summed alone."""
+        g = ring_scenario(16).games[0]
+        lay = StateLayout(g, reduced)
+        Y = np.random.default_rng(42).normal(scale=100.0, size=(7, lay.size))
+        self.assert_rows(lay, g, Y)
 
 
 class TestConservation:

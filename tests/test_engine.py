@@ -14,7 +14,8 @@ import gridtrade as gt
 from gridtrade import _kernels, engine
 from gridtrade.engine import (ClosedLoop, ScenarioError, Scenario, csv_header,
                               parse_quantity, run_scenario)
-from gridtrade.controller import controller_rhs
+from gridtrade.controller import consensus_errors, controller_rhs, \
+    kkt_residual, lyapunov_diagnostics
 
 from conftest import RING4_FILE, ring4_dict, rk4_run
 
@@ -388,10 +389,12 @@ class TestClosedLoopAssembly:
     def test_fast_path_matches_reference(self, ref_scenario):
         g = ref_scenario.games[0]
         loop = ClosedLoop(g, ref_scenario.controller)
+        rhs = _kernels.affine_rhs(loop.M, loop.c, loop.psrc, loop.plo,
+                                  loop.phi, loop.force)
         rng = np.random.default_rng(33)
         for _ in range(8):
             y = rng.normal(scale=300, size=loop.size)
-            fast = loop.rhs_fast(y)
+            fast = rhs(y)
             ref = loop.rhs_reference(y)
             assert np.allclose(fast, ref, rtol=1e-12,
                                atol=1e-9 * max(1, np.abs(ref).max()))
@@ -399,23 +402,28 @@ class TestClosedLoopAssembly:
     def test_reduced_fast_path_matches_reference(self, ref_scenario):
         g = ref_scenario.games[0]
         loop = ClosedLoop(g, ref_scenario.controller, reduced=True)
+        rhs = _kernels.affine_rhs(loop.M, loop.c, loop.psrc, loop.plo,
+                                  loop.phi, loop.force)
         rng = np.random.default_rng(34)
         for _ in range(5):
             y = rng.normal(scale=300, size=loop.size)
-            fast = loop.rhs_fast(y)
+            fast = rhs(y)
             ref = loop.rhs_reference(y)
             assert np.allclose(fast, ref, rtol=1e-12,
                                atol=1e-9 * max(1, np.abs(ref).max()))
 
     def test_rk4_step_is_rhs_fast_step(self, ref_scenario, ref_attractor):
-        """One rk4_affine step is the textbook RK4 step of rhs_fast, bit
-        for bit, from the attractor, where V_1's penalty pushes."""
+        """One rk4_affine step is the textbook RK4 step of affine_rhs on
+        the loop, bit for bit, from the attractor, where V_1's penalty
+        pushes."""
         g = ref_scenario.games[0]
         loop = ClosedLoop(g, ref_scenario.controller)
         y0 = loop.pack(ref_attractor.plant, ref_attractor.controller)
         assert _kernels.penalty_force(y0[loop.psrc], loop.plo, loop.phi,
                                       loop.force).any()
-        dt, f = 1e-5, loop.rhs_fast
+        dt = 1e-5
+        f = _kernels.affine_rhs(loop.M, loop.c, loop.psrc, loop.plo,
+                                loop.phi, loop.force)
         k1 = f(y0)
         k2 = f(y0 + 0.5 * dt * k1)
         k3 = f(y0 + 0.5 * dt * k2)
@@ -631,6 +639,45 @@ class TestRunScenario:
                                 "controller": {"nu": [1, 0, 0, 0]}})
         with pytest.raises(ScenarioError, match="nu must sum to zero"):
             Scenario.from_dict(d)
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("reduced", [False, True],
+                             ids=["full", "reduced"])
+    @pytest.mark.parametrize("method", ["rk4", "pwa"])
+    def test_rows_are_per_row_recomputation(self, method, reduced):
+        """Each era's rows, taken in one call of each diagnostic, are the
+        rows the diagnostics give one sample at a time, bit for bit."""
+        scn = Scenario.from_dict(ring4_dict(
+            integrator={"method": method, "dt": "1e-5 s", "t_end": "0.02 s"},
+            events=[{"time": "0.01 s", "d_IL": "3 A", "d_ZL": "3 Ohm"}]))
+        traj, diag, _ = run_scenario(scn, reduced=reduced)
+        lay = engine.StateLayout(scn.games[0], reduced)
+        cp = scn.controller
+        assert set(traj.epoch) == {0, 1}
+        for k in range(traj.n_samples):
+            g = scn.games[traj.epoch[k]]
+            plant, cs = lay.unpack(traj.y[k])
+            lines = kkt_residual(cs, g, cp).lines
+            p = g.plant
+            viol = [np.maximum(lo - v, 0).max() + np.maximum(v - hi, 0).max()
+                    for v, lo, hi in ((plant.V, p.V_min, p.V_max),
+                                      (plant.I_l, p.Il_min, p.Il_max))]
+            row = np.array([lines.max(), *lines, *consensus_errors(cs, g),
+                            *lyapunov_diagnostics(plant, cs, g, cp), *viol])
+            assert row.tobytes() == diag[k].tobytes()
+
+    @pytest.mark.parametrize("kkt,expected", [
+        ([5e-4, 2e-4, 1e-4], 7.0),           # every row below: the first
+        ([5e-4, 2e-4, 2e-3], None),          # the last row above
+        ([5e-4], 7.0),                       # one-row era
+        ([2e-3], None),
+        ([5e-4, 1e-3, 2e-4, 1e-4], 9.0),     # below, at, below, below
+    ])
+    def test_convergence_time(self, kkt, expected):
+        """The sample after the last one at or above the threshold."""
+        t = 7.0 + np.arange(len(kkt))
+        assert engine._convergence_time(t, np.array(kkt), 1e-3) == expected
 
 
 class TestPlantTracksEquilibrium:

@@ -13,7 +13,7 @@ from gridtrade.engine import ClosedLoop
 from gridtrade.oracle import _Vi, _solve_extragradient
 from gridtrade.plant import PlantState
 
-from conftest import make_single_game, regime_names, ring4_dict
+from conftest import make_single_game, regime_names, ring_scenario
 
 CP = ControllerParams(0.01, 0.1)
 
@@ -169,27 +169,6 @@ class TestSolveVi:
                           scn.penalties, validate=False)
         with pytest.raises(RuntimeError, match="empty"):
             solve_vi(g)
-
-
-def ring_scenario(n, heads=None):
-    """n DGUs on a ring, repeating ring4's per-agent records; alpha_I and
-    the base price grow with n so the game stays strictly monotone and
-    the price margin positive.  Edge k joins DGU k to DGU k + 1 and is
-    managed by its head, or by its tail where ``heads[k - 1]`` is
-    False."""
-    heads = [True] * n if heads is None else heads
-    d = ring4_dict()
-    d["topology"] = {"n": n,
-                     "edges": [[k + 1, (k + 1) % n + 1] for k in range(n)],
-                     "managers": [k + 1 if h else (k + 1) % n + 1
-                                  for k, h in enumerate(heads)]}
-    d["dgus"] = [d["dgus"][i % 4] for i in range(n)]
-    d["lines"] = [d["lines"][i % 4] for i in range(n)]
-    d["weights"] = [dict(w, alpha_I=w["alpha_I"] * 0.6 * n)
-                    for w in (d["weights"][i % 4] for i in range(n))]
-    d["price"]["l"] = 5.0 * n / 4
-    d["penalties"] = {"rho_V": [1200] * n, "rho_Il": [1000] * n}
-    return gt.Scenario.from_dict(d)
 
 
 def ring_game(n, heads=None):
@@ -473,7 +452,9 @@ def assert_filippov_equilibrium(g, cp):
     rest = np.ones(y.size, dtype=bool)
     rest[rows] = False
     tol = 1e-9 * np.abs(y).max()
-    assert np.abs(loop.rhs_fast(y)[rest]).max() <= tol
+    rhs = _kernels.affine_rhs(loop.M, loop.c, loop.psrc, loop.plo, loop.phi,
+                              loop.force)
+    assert np.abs(rhs(y)[rest]).max() <= tol
     upper = np.array([r == "upper-sliding" for r in eq.regimes])[sliding]
     held = np.where(upper, 1.0, -1.0) * (loop.M[rows] @ y + loop.c[rows])
     cap = loop.force[sliding]

@@ -6,7 +6,8 @@ penalty rule outside :mod:`pwa`, which ``game.local_gradient`` also
 applies).  :func:`affine_rhs` writes that right-hand side once; it is
 what :func:`rk4_affine`, the package's one RK4, steps with four BLAS
 matvecs per step.  :func:`affine_probe` reads the matrix and the
-constant term of an affine map off unit-vector probes.  The
+constant term of an affine map off unit-vector probes, one call of the
+map per block of unit vectors.  The
 feasible-set projection of the equilibrium oracle alternates an affine
 projection with a box clip.
 """
@@ -34,16 +35,30 @@ def rowdot(a, b):
     return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
+_PROBE_BLOCK = 16      # unit vectors per call of the probed map
+
+
 def affine_probe(f, size):
-    """(M, c) with ``f(y) = M y + c`` for an affine ``f`` on vectors of
-    ``size`` entries, read off ``f`` at 0 and at each unit vector."""
-    c = f(np.zeros(size))
-    M = np.empty((c.size, size))
-    e = np.zeros(size)
-    for j in range(size):
-        e[j] = 1.0
-        M[:, j] = f(e) - c
-        e[j] = 0.0
+    """(M, c) with ``f(y) = M y + c`` for an affine ``f`` on ``size``
+    entries that maps a leading axis of rows row by row: ``c`` is ``f`` at
+    0 and column j of M is ``f(e_j) - c``, read off in one call of ``f``
+    per block of :data:`_PROBE_BLOCK` unit vectors, the first block led
+    by the zero row.
+
+    M is allocated before ``f`` first runs, so a freed ``M`` of the same
+    size is reused rather than left as a hole in the heap.
+    """
+    M = np.empty((size, size))
+    c = None
+    for j0 in range(0, size, _PROBE_BLOCK):
+        j1 = min(j0 + _PROBE_BLOCK, size)
+        lead = c is None
+        E = np.zeros((j1 - j0 + lead, size))
+        E[np.arange(lead, E.shape[0]), np.arange(j0, j1)] = 1.0
+        F = f(E)
+        if lead:
+            c, F = F[0].copy(), F[1:]
+        np.subtract(F.T, c[:, None], out=M[:, j0:j1])
     return M, c
 
 

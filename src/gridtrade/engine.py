@@ -375,9 +375,13 @@ class StateLayout:
         self.psrc = (self.ctrl["xhat"].start + g.boxes.pos).astype(np.int64)
 
     def pack(self, plant: PlantState, cs: ControllerState) -> np.ndarray:
-        """The flat state of ``plant`` and ``cs``."""
-        return np.concatenate([getattr(plant, k) for k in self.plant]
-                              + [getattr(cs, k).ravel() for k in self.ctrl])
+        """The flat state(s) of ``plant`` and ``cs``, whose blocks share
+        a leading axis of rows or have none."""
+        lead = plant.I.shape[:-1]
+        return np.concatenate(
+            [getattr(plant, k) for k in self.plant]
+            + [getattr(cs, k).reshape(lead + (-1,)) for k in self.ctrl],
+            axis=-1)
 
     def unpack(self, y):
         """Plant and controller states of the flat state(s) ``y``, as
@@ -397,7 +401,8 @@ class ClosedLoop(StateLayout):
     The dynamics are affine in the state except for the penalty branches
     on the decision copies of voltages and line currents, so the system
     is represented as ``M y + c`` plus a sparse piecewise correction,
-    probed exactly from the reference right-hand side.
+    probed exactly from the reference right-hand side, which maps a
+    block of unit-vector rows in one call (:func:`_kernels.affine_probe`).
     """
 
     def __init__(self, g: GameDefinition, cp: ControllerParams,
@@ -408,8 +413,8 @@ class ClosedLoop(StateLayout):
 
         def smooth(y):
             dy = self.rhs_reference(y)
-            dy[self.psrc] -= _kernels.penalty_force(
-                y[self.psrc], self.plo, self.phi, self.force)
+            dy[..., self.psrc] -= _kernels.penalty_force(
+                y[..., self.psrc], self.plo, self.phi, self.force)
             return dy
 
         self.M, self.c = _kernels.affine_probe(smooth, self.size)

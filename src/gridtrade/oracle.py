@@ -34,8 +34,10 @@ class _Vi:
     the local balances) within the bounds ``lo``, ``hi``, finite only at
     ``box``, the boxed entries in ``g.boxes`` order.  ``G z + g0`` is the
     weighted game map without penalties: decision-block rows are r_i times
-    the smooth local gradient, probed with :func:`_kernels.affine_probe`;
-    the voltage-dynamics rows are r_i a_u (u_i - u_ref).  ``start`` is the
+    the smooth local gradient, probed with :func:`_kernels.affine_probe`
+    on blocks of unit rows, each row's aggregate its own sum of
+    generated currents; the voltage-dynamics rows are r_i a_u
+    (u_i - u_ref).  ``start`` is the
     reference point clipped into the bounds.
     """
 
@@ -58,9 +60,11 @@ class _Vi:
         self.hi = np.full(size, np.inf)
         self.lo[self.box] = g.boxes.lo
         self.hi[self.box] = g.boxes.hi
+        # the probe rows hold 0/1 entries, so their aggregates are exact
         Gx, gx = _kernels.affine_probe(
-            lambda x: local_gradient(g, x, np.full(g.n, x[lay.ix_I].sum()),
-                                     with_penalty=False), lay.size)
+            lambda x: local_gradient(g, x, np.broadcast_to(
+                x[..., lay.ix_I].sum(-1)[..., None], x.shape[:-1] + (g.n,)),
+                with_penalty=False), lay.size)
         r_row = w.r[lay.agent_of_pos]
         self.G = np.zeros((size, size))
         self.g0 = np.zeros(size)
@@ -249,15 +253,16 @@ def _face_solve(G, g0, M, c, lo, hi, cap, state):
     saturated rows.  Returns (z, mu, pin forces in entry order)."""
     shift = g0 - saturated_force(state, cap)
     pins = np.flatnonzero((state == LOWER) | (state == UPPER))
-    E = np.zeros((pins.size, g0.size))
-    E[np.arange(pins.size), pins] = 1.0
-    Meq = np.vstack([M, E])
-    ceq = np.concatenate([c, np.where(state[pins] == LOWER, lo[pins],
-                                      hi[pins])])
-    k = Meq.shape[0]
-    K = np.block([[G, Meq.T], [Meq, np.zeros((k, k))]])
-    sol = np.linalg.solve(K, np.concatenate([-shift, ceq]))
     nz, nc = g0.size, c.size
+    # the KKT matrix [[G, Meq^T], [Meq, 0]] with Meq = [M; unit rows at pins]
+    K = np.zeros((nz + nc + pins.size,) * 2)
+    K[:nz, :nz] = G
+    K[nz:nz + nc, :nz] = M
+    K[:nz, nz:nz + nc] = M.T
+    rows = nz + nc + np.arange(pins.size)
+    K[rows, pins] = K[pins, rows] = 1.0
+    sol = np.linalg.solve(K, np.concatenate(
+        [-shift, c, np.where(state[pins] == LOWER, lo[pins], hi[pins])]))
     return sol[:nz], sol[nz:nz + nc], sol[nz + nc:]
 
 

@@ -6,7 +6,7 @@ import pytest
 import gridtrade as gt
 from gridtrade import ControllerParams, ControllerState, consensus_errors, \
     controller_rhs, fast_equilibrium, kkt_residual
-from gridtrade._kernels import affine_probe
+from gridtrade._kernels import affine_probe, matvec
 from gridtrade.controller import lyapunov_diagnostics
 from gridtrade.engine import StateLayout
 from gridtrade.topology import laplacian
@@ -123,10 +123,11 @@ class TestFastEquilibrium:
         eps = CP.eps_fast
 
         def rhs(y):
-            ups, nu = y[:4], y[4:]
-            d_ups = (-ups - Lap @ ups - Lap @ nu + 4 * Ihat) / eps
-            d_nu = (Lap @ ups) / eps
-            return np.concatenate([d_ups, d_nu])
+            ups, nu = y[..., :4], y[..., 4:]
+            d_ups = (-ups - matvec(Lap, ups) - matvec(Lap, nu)
+                     + 4 * Ihat) / eps
+            d_nu = matvec(Lap, ups) / eps
+            return np.concatenate([d_ups, d_nu], axis=-1)
 
         nu0 = rng.normal(size=4)
         nu0 -= nu0.mean()

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, replace
 
@@ -11,13 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gridtrade as gt
-from gridtrade import _kernels, engine
+from gridtrade import _kernels, engine, oracle
 from gridtrade.engine import (ClosedLoop, ScenarioError, Scenario, csv_header,
                               parse_quantity, run_scenario)
 from gridtrade.controller import consensus_errors, controller_rhs, \
     kkt_residual, lyapunov_diagnostics
 
-from conftest import RING4_FILE, ring4_dict, rk4_run
+from conftest import RING4_FILE, ring4_dict, ring_scenario, rk4_run
 
 
 class TestUnits:
@@ -444,6 +445,89 @@ class TestClosedLoopAssembly:
             assert np.array_equal(loop.pack(plant, cs), y)
 
 
+def column_probe(f, size):
+    """(M, c) of the affine ``f`` read off one vector at a time: ``f`` at 0
+    and at each unit vector, the reference of ``_kernels.affine_probe``."""
+    c = f(np.zeros(size))
+    M = np.empty((c.size, size))
+    e = np.zeros(size)
+    for j in range(size):
+        e[j] = 1.0
+        M[:, j] = f(e) - c
+        e[j] = 0.0
+    return M, c
+
+
+class TestBlockProbe:
+    """``affine_probe`` reads blocks of unit vectors in one call each and
+    gives the bits of the one-vector-at-a-time probe."""
+
+    @staticmethod
+    def assert_same(got, ref):
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 5, 16, 17, 104])
+    def test_sizes_around_the_block(self, size):
+        """Sizes below, at, just past and not a multiple of the block."""
+        rng = np.random.default_rng(size)
+        A, b = rng.normal(size=(size, size)), rng.normal(size=size)
+        calls = []
+
+        def f(y):
+            calls.append(y.shape)
+            return _kernels.matvec(A, y) + b
+
+        got = _kernels.affine_probe(f, size)
+        assert len(calls) == -(-size // _kernels._PROBE_BLOCK)
+        self.assert_same(got, column_probe(f, size))
+
+    @staticmethod
+    def loop_map(loop):
+        """The map the loop probes: its right-hand side without the
+        penalty correction, on one flat state."""
+        def smooth(y):
+            dy = loop.rhs_reference(y)
+            dy[loop.psrc] -= _kernels.penalty_force(
+                y[loop.psrc], loop.plo, loop.phi, loop.force)
+            return dy
+        return smooth
+
+    @pytest.mark.parametrize("reduced", [False, True],
+                             ids=["full", "reduced"])
+    @pytest.mark.parametrize("era", [0, 1])
+    def test_ring4_closed_loop(self, ref_scenario, era, reduced):
+        """104 full states, not a multiple of the block, and 96 reduced."""
+        loop = ClosedLoop(ref_scenario.games[era], ref_scenario.controller,
+                          reduced=reduced)
+        self.assert_same((loop.M, loop.c),
+                         column_probe(self.loop_map(loop), loop.size))
+
+    @pytest.mark.parametrize("reduced", [False, True],
+                             ids=["full", "reduced"])
+    def test_ring16_closed_loop(self, reduced):
+        scn = ring_scenario(16)
+        loop = ClosedLoop(scn.games[0], scn.controller, reduced=reduced)
+        self.assert_same((loop.M, loop.c),
+                         column_probe(self.loop_map(loop), loop.size))
+
+    @pytest.mark.parametrize("era", [0, 1])
+    def test_ring4_game_map(self, ref_scenario, era):
+        """The game map's decision block, 13 entries, below the block."""
+        g = ref_scenario.games[era]
+        lay = g.layout
+        vi = oracle._Vi(g)
+        Gx, gx = column_probe(
+            lambda x: gt.local_gradient(g, x, np.full(g.n, x[lay.ix_I].sum()),
+                                        with_penalty=False), lay.size)
+        r_row = g.weights.r[lay.agent_of_pos]
+        assert lay.size < _kernels._PROBE_BLOCK
+        block = np.ix_(vi.z_of_x, vi.z_of_x)
+        self.assert_same((vi.G[block], vi.g0[vi.z_of_x]),
+                         (r_row[:, None] * Gx, r_row * gx))
+
+
 class TestStateLayout:
     # each block's CSV prefix, spelt out independently of the engine
     CSV = {"I": "plant.I.", "V": "plant.V.", "I_l": "plant.Il.",
@@ -473,6 +557,21 @@ class TestStateLayout:
         for k, s in blocks.items():
             state = plant if k in lay.plant else cs
             assert np.array_equal(getattr(state, k).ravel(), y[s])
+
+    @pytest.mark.parametrize("reduced", [False, True],
+                             ids=["full", "reduced"])
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_pack_unpack_roundtrip_rows(self, ref_game, n, reduced):
+        """``pack`` of a block of unpacked rows gives the block back, and
+        each of its rows is the row packed alone."""
+        g = ref_game if n == 4 else ring_scenario(16).games[0]
+        lay = engine.StateLayout(g, reduced)
+        Y = np.random.default_rng(n).normal(scale=100.0, size=(5, lay.size))
+        packed = lay.pack(*lay.unpack(Y))
+        assert packed.shape == Y.shape
+        assert packed.tobytes() == Y.tobytes()
+        for y, row in zip(Y, packed):
+            assert lay.pack(*lay.unpack(y)).tobytes() == row.tobytes()
 
 
 class TestRunScenario:
@@ -690,8 +789,9 @@ class TestPlantTracksEquilibrium:
         eq = gt.plant_equilibrium(u_star, p, topo)
 
         def rhs(y):
-            state = gt.PlantState.from_vector(y, 4, 4)
-            return gt.plant_rhs(state, u_star, p, topo).to_vector()
+            state = gt.PlantState(y[..., :4], y[..., 4:8], y[..., 8:12])
+            d = gt.plant_rhs(state, u_star, p, topo)
+            return np.concatenate([d.I, d.V, d.I_l], axis=-1)
 
         y0 = eq.to_vector() + 0.1
         cfg = gt.IntegratorConfig(method="rk4", dt=2e-5, t_end=1.0,
@@ -898,6 +998,21 @@ class TestFastSettlingScalesWithEps:
         t_fast = settle_time(0.001)
         t_slow = settle_time(0.01)
         assert 4.0 <= t_slow / t_fast <= 25.0
+
+
+class TestAssemblyMemory:
+    def test_ring16_peak_is_one_operator(self):
+        """A 16-DGU loop's assembly allocates its dense M and little else:
+        the probe's blocks stay small next to M's 11.2 MB."""
+        scn = ring_scenario(16)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loop = ClosedLoop(scn.games[0], scn.controller)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * loop.M.nbytes
 
 
 class TestOneOperatorAtATime:

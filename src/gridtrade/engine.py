@@ -2,9 +2,9 @@
 
 A scenario file is a JSON tree with explicit unit suffixes.  Each section
 is read from the type it builds, whose declaration gives its keys and
-defaults; any other key is refused.  Parsing checks the tree once, time
-grid included (``integrate.grid_errors``), and keeps the game of every
-load era on the frozen :class:`Scenario`.  The closed loop (grid +
+defaults; any other key is refused.  Parsing lists every problem, time
+grid included (``integrate.grid_errors``); a :class:`Scenario`, checked
+wherever it is made, holds each load era's game.  The closed loop (grid +
 controller) is affine apart from the box penalties, so the engine probes
 the exact system matrix of each load era when that era starts
 (``_kernels.affine_probe``) and propagates it with
@@ -183,21 +183,24 @@ class Event:
 @dataclass(frozen=True)
 class Scenario:
     """Validated experiment description: build inputs for one run, and
-    ``games``, every load era's game (era 0 first), built when checked."""
+    ``games``, every load era's game (era 0 first), built when checked;
+    era 0's inputs are views of ``games[0]``.  Its events and time grid
+    are checked wherever it is made (parsing, ``dataclasses.replace``)."""
 
     name: str
-    topo: MicrogridTopology
-    comm_topo: object
-    plant: PlantParams
-    price: PriceParams
-    weights: ObjectiveWeights
-    penalties: PenaltyParams
     controller: ControllerParams
     integrator: IntegratorConfig
     events: tuple
     initial_plant: object      # "equilibrium" | "zeros" | PlantState
     initial_controller: object  # "zeros" | ControllerState fields dict
     games: tuple
+
+    topo = property(lambda self: self.games[0].topo)
+    comm_topo = property(lambda self: self.games[0].comm_topo)
+    plant = property(lambda self: self.games[0].plant)
+    price = property(lambda self: self.games[0].price)
+    weights = property(lambda self: self.games[0].weights)
+    penalties = property(lambda self: self.games[0].penalties)
 
     def __post_init__(self):
         # a replaced ``events`` must still be the steps between ``games``
@@ -210,6 +213,10 @@ class Scenario:
                     np.array_equal(h.plant.I_L, g.plant.I_L - ev.d_IL)):
                 raise ScenarioError([f"events[{j}]: the step does not lead "
                                      f"to the game of load era {j}"])
+        if errors := grid_errors(self.integrator,
+                                 [ev.time for ev in self.events],
+                                 _stability_limit(self.plant.lines)):
+            raise ScenarioError(errors)
 
     @classmethod
     def from_file(cls, path):
@@ -319,10 +326,9 @@ class Scenario:
             errors.append(
                 f"initial.controller: unknown mode {initial_controller!r}")
 
-        plant = None
         games = []
         if not errors:
-            plant = stepped = PlantParams(dgus, lines)
+            stepped = PlantParams(dgus, lines)
             # every load era's game must pass the same checks as era 0's;
             # the first era that fails is the one reported
             for j, ev in enumerate([None, *events]):
@@ -336,12 +342,11 @@ class Scenario:
                     break
         if errors:
             raise ScenarioError(errors)
-        return cls(name, topo, comm_topo, plant, price, weights, penalties,
-                   ctrl, integ, tuple(events), initial_plant,
+        return cls(name, ctrl, integ, tuple(events), initial_plant,
                    initial_controller, tuple(games))
 
     def game(self, plant_params=None) -> GameDefinition:
-        """Era 0's game, or a new game of this scenario on ``plant_params``."""
+        """Era 0's game, or a game of era 0's inputs on ``plant_params``."""
         if plant_params is None:
             return self.games[0]
         return build_game(self.topo, plant_params, self.price, self.weights,
@@ -477,16 +482,11 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
     given, making it before any solve; only then does the report carry
     the centralized ``equilibrium`` of each era.  ``reduced=True``
     integrates the quasi-steady-state model (upsilon and nu held
-    quasi-steady).  The time grid is checked again before any solve: a
-    replaced ``integrator`` was not checked on parsing.
+    quasi-steady).  Its time grid was checked where it was made.
     """
     import os
 
     cfg = scenario.integrator
-    times = [ev.time for ev in scenario.events]
-    errors = grid_errors(cfg, times, _stability_limit(scenario.plant.lines))
-    if errors:
-        raise ScenarioError(errors)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
     games = scenario.games
@@ -520,7 +520,7 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
         out = np.empty((n_samples, loop.size))
         return out[:loop.run_segment(y, cfg.dt, n_samples * per, per, out)], y
 
-    traj = run_eras(y, cfg, times, advance)
+    traj = run_eras(y, cfg, [ev.time for ev in scenario.events], advance)
     # a finite state can still overflow the energies; that fails the run
     with np.errstate(over="ignore", invalid="ignore"):
         diag = _diagnostics(traj, games, cp, lay)

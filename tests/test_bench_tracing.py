@@ -99,6 +99,21 @@ def test_bench_call_shapes():
     assert "steps" in inspect.signature(_kernels.rk4_affine).parameters
     assert "path" in inspect.signature(engine.write_csv).parameters
     assert "g" in inspect.signature(engine.solve_vi).parameters
+    # what the benchmark reads off a parsed Scenario and its era-0 inputs,
+    # which are instance attributes that test_bench_names_resolve cannot see
+    scn = engine.Scenario.from_dict(ring4_dict())
+    for obj, names in (
+            (scn, "plant topo weights price events integrator controller "
+                  "games"),
+            (scn.plant, "n m R Z_L I_L R_l V_min V_max V_ref I_ref u_ref "
+                        "Il_min Il_max Il_ref"),
+            (scn.topo, "n m edges managers"),
+            (scn.weights, "r alpha_u alpha_I alpha_V alpha_Il"),
+            (scn.price, "l p_r"),
+            (scn.events[0], "time d_IL d_ZL"),
+            (scn.integrator, "dt t_end sample_period")):
+        for name in names.split():
+            getattr(obj, name)
 
 
 def load_tracing():

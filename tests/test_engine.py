@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -314,6 +314,24 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError) as ei:
             replace(scn, events=events)
         assert ei.value.errors == [message]
+
+    def test_scenario_fields(self):
+        assert [f.name for f in fields(Scenario)] == [
+            "name", "controller", "integrator", "events", "initial_plant",
+            "initial_controller", "games"]
+
+    @pytest.mark.parametrize("name", ["topo", "comm_topo", "plant", "price",
+                                      "weights", "penalties"])
+    def test_era0_inputs_are_views_of_games(self, name):
+        """Era 0's inputs are held once, by ``games[0]``: they read
+        through to it and cannot be replaced apart from it (a replaced
+        ``price`` would be reported while the parsed game runs)."""
+        scn = Scenario.from_file(RING4_FILE)
+        assert getattr(scn, name) is getattr(scn.games[0], name)
+        value = gt.PriceParams(l=10.0, p_r=scn.price.p_r) \
+            if name == "price" else getattr(scn, name)
+        with pytest.raises(TypeError):
+            replace(scn, **{name: value})
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -689,18 +707,21 @@ class TestRunScenario:
                 events=[{"time": 0.00150001, "d_IL": 1.0}],
                 output={"sample_period": "1e-3 s"}))
 
-    def test_replaced_integrator_checked_before_solving(self, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("solved before the grid was checked")
-
-        monkeypatch.setattr(engine, "solve_vi", unreachable)
+    def test_replaced_integrator_checked_before_solving(self):
+        """A replaced ``integrator`` is refused where the Scenario is
+        made, so no run starts on it: an off-grid ``t_end``, and a
+        ``dt`` over ring4's stability bound of 6e-5 s."""
         scn = Scenario.from_dict(ring4_dict(
             integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.01 s"},
             events=[]))
-        with pytest.raises(ScenarioError, match="t_end 0.0026 not on the "
-                                                "sample grid"):
-            run_scenario(replace(scn, integrator=replace(
-                scn.integrator, t_end=0.0026)))
+        for change, message in (
+                ({"t_end": 0.0026}, "t_end 0.0026 not on the sample grid "
+                                    "(sample_period 0.001)"),
+                ({"dt": 1e-4}, "dt=0.0001 violates the line-dynamics "
+                               "stability bound 6e-05; refusing to start")):
+            with pytest.raises(ScenarioError) as ei:
+                replace(scn, integrator=replace(scn.integrator, **change))
+            assert ei.value.errors == [message]
 
     def test_determinism_byte_identical(self, tmp_path, short_scenario_dict):
         out1, out2 = tmp_path / "a", tmp_path / "b"

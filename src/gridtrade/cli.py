@@ -26,17 +26,15 @@ from .oracle import closed_loop_equilibrium, game_map_matrix, solve_vi
 
 
 def _load(path):
-    if not os.path.exists(path):
-        print(f"error: scenario file not found: {path}", file=sys.stderr)
-        raise SystemExit(1)
     try:
         return Scenario.from_file(path)
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(1)
-    except (json.JSONDecodeError, OSError) as e:
+    except FileNotFoundError:
+        print(f"error: scenario file not found: {path}", file=sys.stderr)
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as e:
         print(f"error: cannot read scenario: {e}", file=sys.stderr)
-        raise SystemExit(1)
+    raise SystemExit(1)
 
 
 def _apply_overrides(scn, args):

@@ -59,7 +59,7 @@ class ControllerState:
 
     @classmethod
     def shapes(cls, g: GameDefinition) -> dict:
-        """Block name -> shape in the game ``g``, in field order."""
+        """Block name -> shape in field order; it and zeros read only n, m."""
         n, m = g.n, g.m
         return dict(zip((f.name for f in fields(cls)), (
             (n,), (n,), (n,), (2 * n + m,), (n, n + m), (n, n + m), (n,))))

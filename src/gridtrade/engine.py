@@ -146,13 +146,15 @@ def _record(cls, node, where, errors, names=None, **known):
         return None
 
 
-def _blocks(node, zero, where, errors):
-    """The blocks of the JSON object ``node`` as float arrays, named and
-    shaped as the array fields of the state ``zero``; an undeclared
-    block, an unreadable value or a wrong size goes in ``errors``."""
+def _state(node, zero, where, errors):
+    """The state the JSON ``node`` gives: ``zero`` for ``"zeros"``, ``zero``
+    with an object's blocks (in ``zero``'s shapes where the size fits),
+    else ``node``; an undeclared block or an unreadable value is an error."""
+    if not isinstance(node, dict):
+        return zero if node == "zeros" else node
     blocks = {}
     for key, val in node.items():
-        if key not in {f.name for f in fields(zero)}:
+        if (like := vars(zero).get(key)) is None:
             errors.append(f"{where}: unknown block {key!r}")
             continue
         try:
@@ -161,13 +163,33 @@ def _blocks(node, zero, where, errors):
         except (ValueError, TypeError) as e:
             errors.append(f"{where}.{key}: {e}")
             continue
-        like = getattr(zero, key)
-        if arr.size == like.size:
-            blocks[key] = arr.reshape(like.shape)
-        else:
-            errors.append(f"{where}.{key}: expected {like.size} values, got "
-                          f"{arr.size}")
-    return blocks
+        blocks[key] = arr.reshape(like.shape) if arr.size == like.size else arr
+    return replace(zero, **blocks)
+
+
+def _initial_errors(plant, ctrl, topo):
+    """Every rule on an initial state: the plant is ``"equilibrium"`` or
+    a :class:`PlantState`, the controller a :class:`ControllerState`, each
+    block has the size ``topo``'s n and m give it, and nu sums to zero as
+    at the equilibrium (to 1e-12 max(1, sum |nu_i|)): the dynamics keep it."""
+    errors = []
+    if not (type(plant) is PlantState
+            or isinstance(plant, str) and plant == "equilibrium"):
+        errors.append(f"initial.plant: unknown mode {plant!r}")
+    if type(ctrl) is not ControllerState:
+        errors.append(f"initial.controller: unknown mode {ctrl!r}")
+    for where, state, zero in (
+            ("initial.plant", plant, PlantState.zeros(topo.n, topo.m)),
+            ("initial.controller", ctrl, ControllerState.zeros(topo))):
+        for k, like in vars(zero).items() if type(state) is type(zero) else ():
+            got = getattr(state, k)
+            if got.size != like.size:
+                errors.append(f"{where}.{k}: expected {like.size} values, "
+                              f"got {got.size}")
+            elif k == "nu" and abs(sum(got.tolist())) > 1e-12 * max(
+                    1, sum(abs(got).tolist())):     # inf and nan add quietly
+                errors.append(f"{where}: nu must sum to zero")
+    return errors
 
 
 @dataclass(frozen=True)
@@ -184,15 +206,15 @@ class Event:
 class Scenario:
     """Validated experiment description: build inputs for one run, and
     ``games``, every load era's game (era 0 first), built when checked;
-    era 0's inputs are views of ``games[0]``.  Its events and time grid
-    are checked wherever it is made (parsing, ``dataclasses.replace``)."""
+    era 0's inputs are views of ``games[0]``.  Its events, time grid and
+    initial state are checked wherever it is made (parsing, ``replace``)."""
 
     name: str
     controller: ControllerParams
     integrator: IntegratorConfig
     events: tuple
-    initial_plant: object      # "equilibrium" | "zeros" | PlantState
-    initial_controller: object  # "zeros" | ControllerState fields dict
+    initial_plant: object      # "equilibrium" | PlantState
+    initial_controller: ControllerState
     games: tuple
 
     topo = property(lambda self: self.games[0].topo)
@@ -215,7 +237,9 @@ class Scenario:
                                      f"to the game of load era {j}"])
         if errors := grid_errors(self.integrator,
                                  [ev.time for ev in self.events],
-                                 _stability_limit(self.plant.lines)):
+                                 _stability_limit(self.plant.lines)) \
+                + _initial_errors(self.initial_plant,
+                                  self.initial_controller, self.topo):
             raise ScenarioError(errors)
 
     @classmethod
@@ -301,30 +325,17 @@ class Scenario:
 
         init = _keys(d.get("initial", {}), "initial", errors,
                      optional=("plant", "controller")) or {}
-        initial_plant = init.get("plant", "equilibrium")
-        initial_controller = init.get("controller", "zeros")
-        if isinstance(initial_plant, dict):
-            if topo is not None:
+        plant0 = init.get("plant", "equilibrium")
+        ctrl0 = init.get("controller", "zeros")
+        if topo is not None:
+            if isinstance(plant0, dict):
                 # a block left out reads as empty, so its size is refused
-                zero = PlantState.zeros(topo.n, topo.m)
-                blocks = _blocks({f.name: [] for f in fields(zero)}
-                                 | initial_plant, zero, "initial.plant",
-                                 errors)
-                if len(blocks) == len(fields(zero)):
-                    initial_plant = PlantState(**blocks)
-        elif initial_plant not in ("equilibrium", "zeros"):
-            errors.append(f"initial.plant: unknown mode {initial_plant!r}")
-        if isinstance(initial_controller, dict):
-            if topo is not None:
-                # ControllerState.zeros reads only the sizes n and m
-                initial_controller = _blocks(
-                    initial_controller, ControllerState.zeros(topo),
-                    "initial.controller", errors)
-                if abs(np.sum(initial_controller.get("nu", 0.0))) > 1e-12:
-                    errors.append("initial.controller: nu must sum to zero")
-        elif initial_controller != "zeros":
-            errors.append(
-                f"initial.controller: unknown mode {initial_controller!r}")
+                plant0 = {f.name: [] for f in fields(PlantState)} | plant0
+            plant0 = _state(plant0, PlantState.zeros(topo.n, topo.m),
+                            "initial.plant", errors)
+            ctrl0 = _state(ctrl0, ControllerState.zeros(topo),
+                           "initial.controller", errors)
+            errors += _initial_errors(plant0, ctrl0, topo)
 
         games = []
         if not errors:
@@ -342,8 +353,8 @@ class Scenario:
                     break
         if errors:
             raise ScenarioError(errors)
-        return cls(name, ctrl, integ, tuple(events), initial_plant,
-                   initial_controller, tuple(games))
+        return cls(name, ctrl, integ, tuple(events), plant0, ctrl0,
+                   tuple(games))
 
     def game(self, plant_params=None) -> GameDefinition:
         """Era 0's game, or a game of era 0's inputs on ``plant_params``."""
@@ -482,7 +493,7 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
     given, making it before any solve; only then does the report carry
     the centralized ``equilibrium`` of each era.  ``reduced=True``
     integrates the quasi-steady-state model (upsilon and nu held
-    quasi-steady).  Its time grid was checked where it was made.
+    quasi-steady).  The scenario was checked in full where it was made.
     """
     import os
 
@@ -493,21 +504,12 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
     cp = scenario.controller
     solved = {}       # era -> solve_vi solution, shared with the export
 
-    # initial state
-    g0 = games[0]
-    if scenario.initial_plant == "equilibrium":
+    g0, plant0 = games[0], scenario.initial_plant
+    if plant0 == "equilibrium":
         solved[0] = solve_vi(g0)
         plant0 = PlantState(*g0.layout.split(solved[0].x_star))
-    elif scenario.initial_plant == "zeros":
-        plant0 = PlantState.zeros(g0.n, g0.m)
-    else:
-        plant0 = scenario.initial_plant
-    cs0 = ControllerState.zeros(g0)
-    if isinstance(scenario.initial_controller, dict):
-        cs0 = replace(cs0, **scenario.initial_controller)
-
     lay = StateLayout(g0, reduced)
-    y = lay.pack(plant0, cs0)
+    y = lay.pack(plant0, scenario.initial_controller)
 
     def advance(era, y, n_samples):
         # the era's M (N^2 doubles) lives in this call only: the previous

@@ -181,6 +181,15 @@ class TestSimulate:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_undecodable_file_exits_1(self, command, tmp_path, capsys):
+        """A file that is not UTF-8 is reported, not a traceback."""
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read scenario: ")
+
     def test_short_run_outputs(self, short_scenario, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["simulate", short_scenario, "--out", str(out)])

@@ -164,6 +164,15 @@ class TestScenarioValidation:
         assert any(e.startswith("price: ") for e in errors)
         assert len(errors) == 5
 
+    def test_nu_sum_judged_to_its_scale(self):
+        """nu typed to sum to zero is accepted at any magnitude: these
+        entries' float sum is 3.6e-12, not 0."""
+        nu = [-2756.0, 12940.6, 10067.2, -20251.8]
+        assert abs(np.sum(nu)) > 1e-12
+        scn = Scenario.from_dict(ring4_dict(
+            initial={"plant": "zeros", "controller": {"nu": nu}}))
+        assert scn.initial_controller.nu.tolist() == nu
+
     @pytest.mark.parametrize("key", ["I", "V", "I_l"])
     def test_initial_plant_lengths_checked(self, key):
         plant = {"I": [0] * 4, "V": [0] * 4, "I_l": [0] * 4}
@@ -267,8 +276,8 @@ class TestScenarioValidation:
             "price: missing field 'p_r'",
             "weights[4]: missing field 'alpha_V'",
             "weights[4]: unknown key 'alpha'",
-            "initial.plant.I_l: expected 4 values, got 0",
-            "initial.plant: unknown block 'Il'"]
+            "initial.plant: unknown block 'Il'",
+            "initial.plant.I_l: expected 4 values, got 0"]
 
     def test_tiny_sample_period_off_grid(self):
         d = ring4_dict(output={"sample_period": 1e-308})
@@ -392,6 +401,92 @@ def _node(tree, path):
     for key in path:
         tree = tree[key]
     return tree
+
+
+@pytest.fixture(scope="module")
+def ring4_2ms():
+    """ring4 on a 2 ms rk4 horizon without events."""
+    return Scenario.from_dict(ring4_dict(
+        integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.002 s"},
+        events=[]))
+
+
+class TestReplacedInitialState:
+    """A Scenario made by ``dataclasses.replace`` is held to the same
+    initial-state rules as a parsed one, with the same messages."""
+
+    @pytest.mark.parametrize("field, make, message", [
+        ("initial_plant", lambda g: "equilibrum",
+         "initial.plant: unknown mode 'equilibrum'"),
+        ("initial_controller",
+         lambda g: replace(gt.ControllerState.zeros(g), nu=np.ones(4)),
+         "initial.controller: nu must sum to zero"),
+        ("initial_controller",
+         lambda g: replace(gt.ControllerState.zeros(g), upsilon=np.zeros(3)),
+         "initial.controller.upsilon: expected 4 values, got 3"),
+        ("initial_plant",
+         lambda g: gt.PlantState(np.zeros(4), np.zeros(4), np.zeros(3)),
+         "initial.plant.I_l: expected 4 values, got 3")],
+        ids=["misspelt-mode", "nu-sum", "upsilon-size", "I_l-size"])
+    def test_refused_at_replace(self, ring4_2ms, field, make, message):
+        with pytest.raises(ScenarioError) as ei:
+            replace(ring4_2ms, **{field: make(ring4_2ms.games[0])})
+        assert ei.value.errors == [message]
+
+    def test_valid_states_run_as_parsed(self, ring4_2ms):
+        """Era 0's equilibrium and a controller state, given as objects,
+        run as the file's ``"equilibrium"`` and controller blocks do; a
+        block the file gives flat is held in its declared shape."""
+        g = ring4_2ms.games[0]
+        plant = gt.PlantState(*g.layout.split(oracle.solve_vi(g).x_star))
+        lam = np.arange(32.0)
+        ctrl = replace(gt.ControllerState.zeros(g), upsilon=[1, 2, 3, 4],
+                       lam=lam.reshape(4, 8))
+        parsed = Scenario.from_dict(ring4_dict(
+            integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.002 s"},
+            events=[], initial={"plant": "equilibrium", "controller": {
+                "upsilon": [1, 2, 3, 4], "lam": lam.tolist()}}))
+        assert parsed.initial_controller.lam.shape == (4, 8)
+        ref, _, _ = run_scenario(parsed)
+        traj, _, _ = run_scenario(replace(ring4_2ms, initial_plant=plant,
+                                          initial_controller=ctrl))
+        assert traj.y.tobytes() == ref.y.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_drawn_state_gives_scenario_error(self, ring4_2ms, data):
+        """Replacing either initial state by a drawn mode, or by a state
+        of either class with drawn block sizes and values, gives a
+        ScenarioError or a Scenario whose state packs into the run's
+        first row, nothing else."""
+        g = ring4_2ms.games[0]
+        field = data.draw(st.sampled_from(["initial_plant",
+                                           "initial_controller"]))
+        zero = data.draw(st.sampled_from([gt.PlantState.zeros(g.n, g.m),
+                                          gt.ControllerState.zeros(g)]))
+        if data.draw(st.booleans(), label="mode"):
+            value = data.draw(_JSON_VALUES
+                              | st.builds(np.zeros, st.integers(0, 5)))
+        else:
+            blocks = {}
+            for k, v in vars(zero).items():
+                n = data.draw(st.sampled_from([v.size, v.size - 1,
+                                               v.size + 1, 0]))
+                blocks[k] = data.draw(st.lists(
+                    st.floats(), min_size=n, max_size=n), label=k)
+            value = type(zero)(**blocks)
+        try:
+            scn = replace(ring4_2ms, **{field: value})
+        except ScenarioError as e:
+            assert e.errors and all(isinstance(m, str) for m in e.errors)
+        else:
+            plant = scn.initial_plant
+            if isinstance(plant, str):
+                plant = gt.PlantState.zeros(g.n, g.m)
+            lay = engine.StateLayout(g)
+            assert lay.pack(plant, scn.initial_controller).shape == \
+                (lay.size,)
 
 
 @pytest.fixture(scope="module")

@@ -170,8 +170,9 @@ def _state(node, zero, where, errors):
 def _initial_errors(plant, ctrl, topo):
     """Every rule on an initial state: the plant is ``"equilibrium"`` or
     a :class:`PlantState`, the controller a :class:`ControllerState`, each
-    block has the size ``topo``'s n and m give it, and nu sums to zero as
-    at the equilibrium (to 1e-12 max(1, sum |nu_i|)): the dynamics keep it."""
+    block has the size, then the shape, that ``topo``'s n and m give it,
+    and nu sums to zero as at the equilibrium (to 1e-12 max(1, sum
+    |nu_i|)): the dynamics keep it."""
     errors = []
     if not (type(plant) is PlantState
             or isinstance(plant, str) and plant == "equilibrium"):
@@ -186,6 +187,9 @@ def _initial_errors(plant, ctrl, topo):
             if got.size != like.size:
                 errors.append(f"{where}.{k}: expected {like.size} values, "
                               f"got {got.size}")
+            elif got.shape != like.shape:
+                errors.append(f"{where}.{k}: expected shape {like.shape}, "
+                              f"got {got.shape}")
             elif k == "nu" and abs(sum(got.tolist())) > 1e-12 * max(
                     1, sum(abs(got).tolist())):     # inf and nan add quietly
                 errors.append(f"{where}: nu must sum to zero")

@@ -55,6 +55,39 @@ def expm(a):
     return scipy_expm(a)
 
 
+class _Regime:
+    """The regime pattern in force, as a flow holds it from the run's first
+    need of it until the run leaves it: its generator ``[[A, b], [0, 0]]``,
+    its switch checks ``S y + beta >= floor`` and its exact maps keyed by
+    step length.  A pattern the run re-enters gets the same bits again."""
+
+    def __init__(self, pattern, aug, checks):
+        self.pattern, self.aug, self.maps = pattern, aug, {}
+        self.S, self.beta, self.floor = checks
+
+    def advance(self, h, y):
+        """State after ``h`` seconds of the pattern's flow: ``Phi y + phi``
+        with ``[[Phi, phi], [0, 1]]``, the map held for ``h``."""
+        if h not in self.maps:
+            self.maps[h] = expm(self.aug * h)
+        E = self.maps[h]
+        return E[:-1, :-1] @ y + E[:-1, -1]
+
+    def violated(self, y):
+        return bool(((self.S @ y + self.beta) < self.floor).any())
+
+    def locate(self, size, tick, p, y):
+        """Bisect a step of ``size`` ticks from tick ``p`` that ends outside
+        the pattern: the first tick (and its state) that a check fails."""
+        while size > 1:
+            size >>= 1
+            y_mid = self.advance(size * tick, y)
+            if not self.violated(y_mid):
+                p += size
+                y = y_mid
+        return p + 1, self.advance(tick, y)
+
+
 class PiecewiseAffineFlow:
     """Regime-aware exact flow of ``M y + c`` plus the box-penalty forces.
 
@@ -73,15 +106,11 @@ class PiecewiseAffineFlow:
         self.size = self.c.size
         self._snap_tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(self.lo),
                                                             np.abs(self.hi)))
-        self._maps = {}          # step length -> exact map, current pattern
-        self._maps_pattern = None
-        self._checks = {}
+        self._Mp, self._cp = self.M[self.rows], self.c[self.rows]  # drift
+        self._held = None        # _Regime of the pattern in force
         self.switches = 0
 
     # -- regimes ------------------------------------------------------------
-    def _drift(self, y):
-        return self.M[self.rows] @ y + self.c[self.rows]
-
     def classify(self, y):
         """Regime pattern at ``y``; entries on a bound are placed on it.
 
@@ -98,7 +127,7 @@ class PiecewiseAffineFlow:
         y[self.rows[on_lo]] = self.lo[on_lo]
         y[self.rows[on_hi]] = self.hi[on_hi]
         v = y[self.rows]
-        d = self._drift(y)
+        d = self._Mp @ y + self._cp
         pattern = np.full(self.rows.size, INTERIOR)
         pattern[v < self.lo] = BELOW
         pattern[v > self.hi] = ABOVE
@@ -131,13 +160,11 @@ class PiecewiseAffineFlow:
         within the penalty's range.  The small negative floors absorb
         rounding on entries placed exactly on a bound.
         """
-        if pattern in self._checks:
-            return self._checks[pattern]
-        S, beta, floor = [], [], []
+        checks = []
         for k, reg in enumerate(pattern):
             e = np.zeros(self.size)
             e[self.rows[k]] = 1.0
-            Mr, cr = self.M[self.rows[k]], self.c[self.rows[k]]
+            Mr, cr = self._Mp[k], self._cp[k]
             lo, hi, F = self.lo[k], self.hi[k], self.force[k]
             if reg == BELOW:
                 rows = [(-e, lo)]
@@ -151,44 +178,29 @@ class PiecewiseAffineFlow:
                 rows = [(Mr, cr), (-Mr, F - cr)]
             tol = (1e-12 * max(1.0, F) if reg in (LOWER, UPPER)
                    else 1e-2 * self._snap_tol[k])
-            for s_row, b in rows:
-                S.append(s_row)
-                beta.append(b)
-                floor.append(-tol)
-        out = (np.array(S), np.array(beta), np.array(floor))
-        self._checks[pattern] = out
-        return out
+            checks += [(s_row, b, -tol) for s_row, b in rows]
+        return tuple(np.array(col) for col in zip(*checks))
 
-    def _violated(self, pattern, y):
-        S, beta, floor = self._check_rows(pattern)
-        return bool(((S @ y + beta) < floor).any())
-
-    # -- exact maps ---------------------------------------------------------
-    def _advance(self, pattern, h, y):
-        """State after ``h`` seconds of the pattern's flow.
-
-        Maps are cached for the current pattern only: a switch drops the
-        previous pattern's maps, which bounds the memory held to one
-        pattern's levels (a pattern that recurs recomputes its maps).
-        """
-        if pattern != self._maps_pattern:
-            self._maps, self._maps_pattern = {}, pattern
-        if h not in self._maps:
-            N = self.size
-            E = expm(self._system(pattern) * h)
-            self._maps[h] = (np.ascontiguousarray(E[:N, :N]), E[:N, N].copy())
-        Phi, phi = self._maps[h]
-        return Phi @ y + phi
+    def _regime(self, pattern):
+        """The record of ``pattern``, built when the one held is not it.
+        The old one is freed first (``propagate`` keeps no reference to
+        it), so the new maps reuse its memory."""
+        if self._held is None or self._held.pattern != pattern:
+            self._held = None
+            self._held = _Regime(pattern, self._system(pattern),
+                                 self._check_rows(pattern))
+        return self._held
 
     # -- propagation --------------------------------------------------------
+    @np.errstate(over="ignore", invalid="ignore")
     def propagate(self, y, n_samples, sample_period, dt):
         """Advance ``n_samples`` sample periods from ``y``.
 
         ``dt`` bounds the first step after the start and after every
         switch.  Returns (samples, final state); ``samples[s]`` is the
-        state at ``(s + 1) * sample_period``.  Stops early, returning the
-        samples so far, when the state stops being finite; raises
-        :class:`IntegrationError` after ``MAX_SWITCHES`` switches.
+        state at ``(s + 1) * sample_period``.  Stops early and quietly,
+        returning the samples so far, when the state stops being finite;
+        raises :class:`IntegrationError` after ``MAX_SWITCHES`` switches.
         """
         k_fine = max(0, math.ceil(math.log2(sample_period / dt) - 1e-9))
         K = k_fine + BISECT_LEVELS
@@ -204,9 +216,9 @@ class PiecewiseAffineFlow:
             size = min(unit, 1 << (target.bit_length() - 1))
             while p % size:
                 size >>= 1
-            y_new = self._advance(pattern, size * tick, y)
-            if self._violated(pattern, y_new):
-                p, y = self._locate(pattern, size, tick, p, y)
+            y_new = self._regime(pattern).advance(size * tick, y)
+            if self._held.violated(y_new):
+                p, y = self._held.locate(size, tick, p, y)
                 pattern, y = self.classify(y)
                 tau = p
                 self.switches += 1
@@ -224,18 +236,6 @@ class PiecewiseAffineFlow:
                 if not np.isfinite(y).all():
                     return out[:s + 1], y
         return out, y
-
-    def _locate(self, pattern, size, tick, p, y):
-        """Bisect a step of ``size`` ticks from tick ``p`` whose end
-        violates a check; returns the first tick (and state) at which a
-        check is violated."""
-        while size > 1:
-            size >>= 1
-            y_mid = self._advance(pattern, size * tick, y)
-            if not self._violated(pattern, y_mid):
-                p += size
-                y = y_mid
-        return p + 1, self._advance(pattern, tick, y)
 
     @staticmethod
     def describe(pattern):

@@ -58,6 +58,14 @@ def subgradient_selection(interval) -> float:
     return lo if lo > 0.0 else hi
 
 
+def pytest_collection_modifyitems(items):
+    """Mark ``slow`` every test that needs a full-length run
+    (``ref_run``, ``long_run``)."""
+    for item in items:
+        if {"ref_run", "long_run"} & set(getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
+
+
 def regime_names(flow, y):
     """Names of the regimes of ``flow``'s penalized entries at ``y``."""
     return tuple(pwa.REGIME_NAMES[p] for p in flow.classify(y)[0])

@@ -29,9 +29,9 @@ strict:
   376.934 V before and 376.917 V after the step: AC2's box clause fails
   by 0.066 / 0.083 V and AC3 fails with relative gaps of 0.89 in x and
   1.37 in the weighted multipliers;
-* AC2's runtime clause times the 10 s RK4 reference run, which takes
-  67-82 s on a 2-core machine without numba (two measurements, nearly
-  all of it one million numpy RK4 steps) against its 60 s bound.
+* AC2's runtime clause times the 10 s RK4 reference run, nearly all of
+  it one million numpy RK4 steps, against its 60 s bound: 32.5-44.6 s
+  in recent runs on a 2-core machine, 65.2 s in one on a shared host.
 
 `test_oracle.py::TestClosedLoopEquilibrium` pins the attractor.
 """
@@ -153,6 +153,7 @@ class TestAcceptance:
             f"per-second drift: sum(nu) {cons['nu_drift']:.3g}, "
             f"sum(theta) {cons['theta_drift']:.3g} (both <1e-9)")
 
+    @pytest.mark.slow
     def test_ac6_singular_perturbation(self):
         def slow_coords(traj, reduced):
             """The reduced model's blocks, read through either layout."""

@@ -426,8 +426,12 @@ class TestReplacedInitialState:
          "initial.controller.upsilon: expected 4 values, got 3"),
         ("initial_plant",
          lambda g: gt.PlantState(np.zeros(4), np.zeros(4), np.zeros(3)),
-         "initial.plant.I_l: expected 4 values, got 3")],
-        ids=["misspelt-mode", "nu-sum", "upsilon-size", "I_l-size"])
+         "initial.plant.I_l: expected 4 values, got 3"),
+        ("initial_plant",
+         lambda g: gt.PlantState(np.zeros((2, 2)), np.zeros(4), np.zeros(4)),
+         "initial.plant.I: expected shape (4,), got (2, 2)")],
+        ids=["misspelt-mode", "nu-sum", "upsilon-size", "I_l-size",
+             "I-shape"])
     def test_refused_at_replace(self, ring4_2ms, field, make, message):
         with pytest.raises(ScenarioError) as ei:
             replace(ring4_2ms, **{field: make(ring4_2ms.games[0])})
@@ -977,6 +981,32 @@ class TestRuntimeFailure:
         I_l = engine.StateLayout(scn.games[0]).plant["I_l"]
         assert ei.value.y_last[I_l][0] == 1e308
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_era_solve_exported_as_error(self, tmp_path,
+                                                monkeypatch):
+        """An era whose equilibrium solve raises is exported as its
+        error; the rest of summary.json is what a clean run writes."""
+        scn = Scenario.from_dict(ring4_dict(
+            integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.002 s"},
+            events=[{"time": "0.001 s", "d_IL": "1 A"}]))
+        run_scenario(scn, outdir=tmp_path / "clean")
+        solve_vi = engine.solve_vi
+
+        def failing(g):
+            if g is scn.games[1]:
+                raise RuntimeError("no certified solution")
+            return solve_vi(g)
+
+        monkeypatch.setattr(engine, "solve_vi", failing)
+        run_scenario(scn, outdir=tmp_path / "failed")
+        clean, failed = (json.loads((tmp_path / d / "summary.json")
+                                    .read_text()) for d in ("clean", "failed"))
+        assert failed["equilibrium"]["epoch1"] == {
+            "error": "no certified solution"}
+        clean["equilibrium"]["epoch1"] = failed["equilibrium"]["epoch1"]
+        assert failed == clean
+        assert (tmp_path / "failed" / "timeseries.csv").read_bytes() == \
+            (tmp_path / "clean" / "timeseries.csv").read_bytes()
 
 
 class TestImportCost:

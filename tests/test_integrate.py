@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gridtrade import (IntegrationError, IntegratorConfig, Scenario,
-                       ScenarioError, run_scenario)
-from gridtrade.integrate import grid_errors
+                       ScenarioError, pwa, run_scenario)
+from gridtrade.integrate import grid_errors, run_eras
 
 from conftest import ring4_dict, rk4_run
 
@@ -103,6 +103,44 @@ class TestNonFinite:
         traj = rk4_run(*DECAY, [2.0], cfg)
         assert traj.n_samples == 1
         assert traj.t[0] == 0.0
+
+    def test_non_finite_start_refused(self):
+        cfg = IntegratorConfig(method="rk4", dt=0.1, t_end=1.0,
+                               sample_period=0.1)
+
+        def advance(era, y, n_samples):
+            raise AssertionError("advanced from a non-finite state")
+
+        with pytest.raises(IntegrationError,
+                           match="initial state is not finite") as ei:
+            run_eras([1.0, np.nan], cfg, [], advance)
+        err = ei.value
+        assert err.t_last == 0.0
+        assert err.trajectory.t.tolist() == [0.0]
+        assert np.array_equal(err.y_last, [1.0, np.nan], equal_nan=True)
+
+    def test_error_from_advance_keeps_rows(self, monkeypatch):
+        """y' = -1 from 1.5 meets its penalized bound 0 at t = 1.5, in the
+        era after the event at t = 1, and no switch is allowed: the error
+        carries the rows of era 0 and the event row."""
+        monkeypatch.setattr(pwa, "MAX_SWITCHES", 0)
+        flow = pwa.PiecewiseAffineFlow([[0.0]], [-1.0], [0], [0.0], [10.0],
+                                       [2.0])
+        cfg = IntegratorConfig(method="pwa", dt=1e-3, t_end=2.0,
+                               sample_period=1.0)
+
+        def advance(era, y, n_samples):
+            return flow.propagate(y, n_samples, cfg.sample_period, cfg.dt)
+
+        with pytest.raises(IntegrationError, match="regime switches") as ei:
+            run_eras([1.5], cfg, [1.0], advance)
+        err = ei.value
+        assert isinstance(err.__cause__, IntegrationError)
+        assert err.trajectory.t.tolist() == [0.0, 1.0, 1.0]
+        assert err.trajectory.epoch.tolist() == [0, 0, 1]
+        assert err.t_last == 1.0
+        assert err.y_last == pytest.approx([0.5], abs=1e-12)
+        assert flow.switches == 1
 
 
 class TestDeterminism:

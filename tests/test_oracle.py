@@ -130,6 +130,7 @@ class TestSolveVi:
         assert (V >= 377.0 - 1e-9).all() and (V <= 383.0 + 1e-9).all()
         assert (np.abs(Il) <= 20.0 + 1e-9).all()
 
+    @pytest.mark.slow
     def test_deterministic(self, ref_game, ref_extragradient):
         a = ref_extragradient
         b = _solve_extragradient(ref_game)

@@ -1,5 +1,7 @@
 """Exact piecewise-affine propagation with Filippov sliding (``pwa``)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,19 @@ class TestFilippovRegimes:
         with pytest.raises(gt.IntegrationError, match="regime switches"):
             flow.propagate(np.array([0.0, 1.0]), 20, 1.0, 1e-3)
 
+    def test_stops_at_first_non_finite_sample(self):
+        # y1' = 100 y1 overflows between t = 7 s and t = 8 s; the
+        # penalized y2 rests inside its box
+        flow = pwa.PiecewiseAffineFlow([[100.0, 0.0], [0.0, 0.0]],
+                                       [0.0, 0.0], [1], [-1.0], [1.0], [1.0])
+        out, y = flow.propagate(np.array([1.0, 0.0]), 20, 1.0, 1e-3)
+        assert len(out) == 8
+        assert np.isfinite(out[:7]).all()
+        assert out[6, 0] == pytest.approx(np.exp(700.0), rel=1e-9)
+        assert not np.isfinite(out[7]).all()
+        assert y.tobytes() == out[7].tobytes()
+        assert flow.switches == 0
+
 
 class TestAgreementWithRk4:
     def test_switch_free_window(self, ref_loop, y0):
@@ -86,6 +101,7 @@ class TestAgreementWithRk4:
         rk4 = _rk4(ref_loop, y0, 1e-5, 0.1, 1e-3)
         assert np.abs(exact - rk4).max() <= 1e-9 * np.abs(rk4).max()
 
+    @pytest.mark.slow
     def test_rk4_converges_while_sliding(self, ref_loop, y0):
         """By t = 1 s the four voltage copies slide on 377 V, where RK4
         chatters; its error against the exact flow shrinks as dt halves
@@ -145,6 +161,70 @@ class TestLongRun:
         assert all(c["time"] is not None for c in report["convergence_times"])
         assert report["residuals"]["pre_event_final"]["kkt_max"] < 1e-6
         assert report["residuals"]["final"]["kkt_max"] < 1e-6
+
+
+class TestHeldPattern:
+    """A flow holds one record, for the pattern in force: its generator,
+    switch checks and maps."""
+
+    def test_one_record_per_visit(self, ref_loop, y0, monkeypatch):
+        """One record per pattern visit, one generator per record, one
+        exponential per map held; a record is gone before the next one
+        is built, so the new maps can reuse its memory."""
+        built, patterns, systems, expms, steps = [], [], [], [], set()
+
+        class Recorded(pwa._Regime):
+            def __init__(self, *args):
+                assert all(r() is None for r in built)
+                super().__init__(*args)
+                self.visit = len(built)
+                built.append(weakref.ref(self))
+                patterns.append(self.pattern)
+
+            def advance(self, h, y):
+                steps.add((self.visit, h))
+                return super().advance(h, y)
+
+        def system(flow, pattern):
+            systems.append(pattern)
+            return real_system(flow, pattern)
+
+        def expm(a):
+            expms.append(a.shape)
+            return real_expm(a)
+
+        real_system, real_expm = pwa.PiecewiseAffineFlow._system, pwa.expm
+        monkeypatch.setattr(pwa.PiecewiseAffineFlow, "_system", system)
+        monkeypatch.setattr(pwa, "_Regime", Recorded)
+        monkeypatch.setattr(pwa, "expm", expm)
+        flow = ref_loop.flow()
+        _, y = flow.propagate(y0, 300, 1e-3, 1e-5)
+        # by t = 0.3 s the four voltage copies have reached their bound
+        assert flow.switches >= 1
+        assert len(patterns) == flow.switches + 1
+        assert systems == patterns
+        assert all(a != b for a, b in zip(patterns, patterns[1:]))
+        held = [v for v in vars(flow).values()
+                if isinstance(v, (dict, pwa._Regime))]
+        assert held == [built[-1]()]
+        assert patterns[-1] == flow.classify(y)[0]
+        assert len(expms) == len(steps) > len(held[0].maps) > 1
+
+    def test_reentered_pattern_rebuilt_bit_for_bit(self, ref_loop, y0):
+        flow = ref_loop.flow()
+        pattern, _ = flow.classify(y0)
+        first = flow._regime(pattern)
+        exact, y = flow.propagate(y0, 300, 1e-3, 1e-5)
+        assert flow.switches >= 1 and flow._held is not first
+        again = flow._regime(pattern)
+        assert again is not first and flow._held is again
+        for name in ("aug", "S", "beta", "floor"):
+            assert getattr(again, name).tobytes() == \
+                getattr(first, name).tobytes()
+        for h, E in first.maps.items():
+            again.advance(h, y)
+            assert again.maps[h].tobytes() == E.tobytes()
+        assert len(again.maps) == len(first.maps) > 1
 
 
 class TestGuards:

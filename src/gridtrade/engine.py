@@ -113,11 +113,11 @@ def _record(cls, node, where, errors, names=None, **known):
     ``node`` may hold the keys in ``names`` (default: every field not in
     ``known``); the fields among them are read, a ``float`` one with
     :func:`parse_quantity`, an ``np.ndarray`` one as a JSON list of
-    quantities and any other as it is, and an absent one takes its
-    default.  ``known`` gives fields read elsewhere.  A node that is not
-    an object, a missing required field, an undeclared key, an
-    unreadable value or a value ``cls`` refuses goes in ``errors`` as
-    ``<where>: …``.
+    quantities, a ``tuple`` one as a JSON list and any other as it is,
+    and an absent one takes its default.  ``known`` gives fields read
+    elsewhere.  A node that is not an object, a missing required field,
+    an undeclared key, an unreadable value or a value ``cls`` refuses
+    goes in ``errors`` as ``<where>: …``.
     """
     own = [f for f in fields(cls) if f.name not in known
            and (names is None or f.name in names)]
@@ -133,6 +133,8 @@ def _record(cls, node, where, errors, names=None, **known):
             if f.type in ("np.ndarray", np.ndarray):
                 val = [parse_quantity(v) for v in _json(
                     val, list, f"{where}.{f.name}", errors) or []]
+            elif f.type in ("tuple", tuple):
+                _json(val, list, f"{where}.{f.name}", errors)
             values[f.name] = parse_quantity(val) \
                 if f.type in ("float", float) else val
         except ValueError as e:
@@ -279,7 +281,10 @@ class Scenario:
             topo = _record(MicrogridTopology, tnode, "topology", errors,
                            names=[f.name for f in fields(MicrogridTopology)]
                            + ["comm_edges"])
-        if topo is not None and (ce := tnode.get("comm_edges")):
+        # a comm_edges that is present is read, whatever its value
+        ce = _json(tnode["comm_edges"], list, "topology.comm_edges", errors) \
+            if topo is not None and "comm_edges" in tnode else None
+        if ce is not None:
             try:
                 pairs = edge_pairs(ce)
                 comm_topo = MicrogridTopology(topo.n, pairs,
@@ -429,12 +434,12 @@ class ClosedLoop(StateLayout):
                  reduced: bool = False):
         super().__init__(g, reduced)
         self.cp = cp
-        self.plo, self.phi, self.force = g.boxes.lo, g.boxes.hi, g.boxes.force
 
         def smooth(y):
             dy = self.rhs_reference(y)
+            b = self.g.boxes
             dy[..., self.psrc] -= _kernels.penalty_force(
-                y[..., self.psrc], self.plo, self.phi, self.force)
+                y[..., self.psrc], b.lo, b.hi, b.force)
             return dy
 
         self.M, self.c = _kernels.affine_probe(smooth, self.size)
@@ -446,15 +451,16 @@ class ClosedLoop(StateLayout):
 
     def flow(self) -> PiecewiseAffineFlow:
         """Exact regime-aware propagator of this loop (``pwa`` method)."""
-        return PiecewiseAffineFlow(self.M, self.c, self.psrc, self.plo,
-                                   self.phi, self.force)
+        b = self.g.boxes
+        return PiecewiseAffineFlow(self.M, self.c, self.psrc, b.lo, b.hi,
+                                   b.force)
 
     def run_segment(self, y, dt, steps, sample_every, out):
         """:func:`_kernels.rk4_affine` on this loop: advances ``y`` in
         place and returns the number of samples written to ``out``."""
-        return _kernels.rk4_affine(self.M, self.c, y, self.psrc, self.plo,
-                                   self.phi, self.force, dt, steps,
-                                   sample_every, out)
+        b = self.g.boxes
+        return _kernels.rk4_affine(self.M, self.c, y, self.psrc, b.lo, b.hi,
+                                   b.force, dt, steps, sample_every, out)
 
 
 KKT_THRESHOLD = 1e-3
@@ -558,8 +564,7 @@ def _diagnostics(traj: Trajectory, games, cp, lay: StateLayout):
         lines = kkt_residual(cs, g, cp).lines
         viol = [np.maximum(lo - v, 0).max(-1, initial=0.0)
                 + np.maximum(v - hi, 0).max(-1, initial=0.0)
-                for v, lo, hi in ((plant.V, g.plant.V_min, g.plant.V_max),
-                                  (plant.I_l, g.plant.Il_min, g.plant.Il_max))]
+                for v, (lo, hi) in ((plant.V, g.V_box), (plant.I_l, g.Il_box))]
         rows[era] = np.column_stack(
             [lines.max(-1), lines, *consensus_errors(cs, g),
              *lyapunov_diagnostics(plant, cs, g, cp), *viol])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import penalty_force
-from .plant import PlantParams
+from .plant import PlantParams, frozen_copy
 from .topology import AgentLayout, MicrogridTopology, incidence_matrix
 
 
@@ -31,18 +31,18 @@ class PriceParams:
 
 
 class ObjectiveWeights:
-    """Per-agent cost weights.
+    """Per-agent cost weights, held as read-only copies.
 
     ``alpha_Il[i]`` is an array with one weight per line managed by agent
     i (ascending edge order), matching the agent's decision block.
     """
 
     def __init__(self, r, alpha_u, alpha_I, alpha_V, alpha_Il):
-        self.r = np.asarray(r, dtype=float)
-        self.alpha_u = np.asarray(alpha_u, dtype=float)
-        self.alpha_I = np.asarray(alpha_I, dtype=float)
-        self.alpha_V = np.asarray(alpha_V, dtype=float)
-        self.alpha_Il = [np.atleast_1d(np.asarray(a, dtype=float)) for a in alpha_Il]
+        self.r = frozen_copy(r)
+        self.alpha_u = frozen_copy(alpha_u)
+        self.alpha_I = frozen_copy(alpha_I)
+        self.alpha_V = frozen_copy(alpha_V)
+        self.alpha_Il = [frozen_copy(np.atleast_1d(a)) for a in alpha_Il]
         arrays = [self.r, self.alpha_u, self.alpha_I, self.alpha_V]
         if any((a <= 0).any() for a in arrays) or any(
                 (a <= 0).any() for a in self.alpha_Il if a.size):
@@ -51,14 +51,15 @@ class ObjectiveWeights:
 
 @dataclass(eq=False)
 class PenaltyParams:
-    """Exact-penalty magnitudes for the voltage and line-current boxes."""
+    """Exact-penalty magnitudes for the voltage and line-current boxes
+    (read-only copies)."""
 
     rho_V: np.ndarray
     rho_Il: np.ndarray
 
     def __post_init__(self):
-        self.rho_V = np.asarray(self.rho_V, dtype=float)
-        self.rho_Il = np.asarray(self.rho_Il, dtype=float)
+        self.rho_V = frozen_copy(self.rho_V)
+        self.rho_Il = frozen_copy(self.rho_Il)
         if (self.rho_V <= 0).any() or (self.rho_Il.size and (self.rho_Il <= 0).any()):
             raise ValueError("penalty parameters must be strictly positive")
 
@@ -71,7 +72,8 @@ class ConstraintData:
     owns the columns A_i of its decision block and its own load, row i
     of ``s_A_full``; :meth:`agent_rows` and :meth:`agent_cols` apply
     those blocks to all agents at once.  ``D_stack @ x`` restricted to
-    block i is the local voltage balance V_i + R_i I_i.
+    block i is the local voltage balance V_i + R_i I_i.  Its arrays are
+    read-only.
     """
 
     def __init__(self, topo: MicrogridTopology, params: PlantParams):
@@ -94,6 +96,8 @@ class ConstraintData:
         self.D_stack[layout.ix_I] = params.R
         self.D_stack[layout.ix_V] = 1.0
         self.layout = layout
+        for a in (self.A_full, self.s_A_full, self.D_stack):
+            a.flags.writeable = False
 
     def agent_rows(self, x) -> np.ndarray:
         """Rows ``A_i x_i - s_i`` of every agent, shape (..., n, n + m);
@@ -142,7 +146,8 @@ class GameDefinition:
     Built through :func:`build_game`; carries the topology, plant
     parameters, prices, weights, penalties, assembled constraints, the
     penalized boxes (``boxes``), the flat per-position weight and
-    reference arrays used by the dynamics, and the margins
+    reference arrays used by the dynamics (read-only, as are the
+    constraints', the layout's and the boxes'), and the margins
     ``price_margin`` and ``monotonicity``, positive if ``validate``.
     """
 
@@ -176,6 +181,8 @@ class GameDefinition:
         self.r_edge = weights.r[lay.manager_of_edge] if m else np.zeros(0)
         self.rho_Il_edge = penalties.rho_Il
         self.x_ref = lay.stack(plant.I_ref, plant.V_ref, plant.Il_ref)
+        for a in (self.alpha_Il_edge, self.r_edge, self.x_ref):
+            a.flags.writeable = False
         rho = np.concatenate([penalties.rho_V, self.rho_Il_edge])
         self.boxes = PenaltyBoxes(
             np.concatenate([lay.ix_V, lay.ix_line]),
@@ -185,12 +192,18 @@ class GameDefinition:
         self.price_margin = check_price_margin(plant, price.l, price.p_r)
         self.monotonicity = check_monotonicity(weights, price.p_r,
                                                plant.V_ref)
+        self.monotonicity.flags.writeable = False
         if validate and self.price_margin <= 0.0:
             raise ValueError("price margin over peak feasible demand is "
                              f"{self.price_margin:.4f} <= 0")
         if validate and (self.monotonicity <= 0.0).any():
             raise ValueError("monotonicity margins must be positive, got "
                              f"{self.monotonicity}")
+
+    V_box = property(lambda self: (self.boxes.lo[:self.n],
+                                   self.boxes.hi[:self.n]))
+    Il_box = property(lambda self: (self.boxes.lo[self.n:],
+                                    self.boxes.hi[self.n:]))
 
     @property
     def n(self):

@@ -113,7 +113,8 @@ class EquilibriumSolution:
     """Weighted equilibrium of the trading game.
 
     ``lambda_star`` is the shared value of ``r_i lambda_i``;
-    per-agent multipliers are ``lambda_star / r_i``.  ``method`` names
+    per-agent multipliers are ``lambda_star / r_i``.  It and
+    ``gamma_star`` read through to ``recovery``.  ``method`` names
     the path that answered, ``"active_set"`` or ``"extragradient"``;
     ``iterations`` counts extragradient iterations (0 on the active-set
     path).  ``residual`` is the extragradient fixed-point residual, or on
@@ -124,14 +125,15 @@ class EquilibriumSolution:
 
     u_star: np.ndarray
     x_star: np.ndarray
-    lambda_star: np.ndarray
-    gamma_star: np.ndarray
     iterations: int
     residual: float
     converged: bool
     method: str
     recovery: MultiplierRecovery
     history: list = None
+
+    lambda_star = property(lambda self: self.recovery.lambda_shared)
+    gamma_star = property(lambda self: self.recovery.gamma)
 
 
 def game_map_matrix(g: GameDefinition) -> np.ndarray:
@@ -150,22 +152,22 @@ def solve_vi(g: GameDefinition) -> EquilibriumSolution:
     reference point clipped into the boxes, solves it exactly (Facchinei
     & Pang, *Finite-Dimensional Variational Inequalities and
     Complementarity Problems*, 2003).  The game is assembled once
-    (:class:`_Vi`) for that iteration and for :func:`_certified`; the
-    answer is returned only when the certificate accepts it, otherwise
-    the solve falls back to :func:`_solve_extragradient`, which raises
-    RuntimeError when the feasible set is empty.  Deterministic.
+    (:class:`_Vi`) for that iteration, :func:`_certified` and the
+    fallback: when the certificate refuses the answer, the solve falls
+    back to :func:`_solve_extragradient`, which raises RuntimeError when
+    the feasible set is empty.  Deterministic.
     """
     vi = _Vi(g)
     face = _active_set(vi)
     sol = None if face is None else _certified(vi, face[0])
-    return sol if sol is not None else _solve_extragradient(g)
+    return sol if sol is not None else _solve_extragradient(vi)
 
 
-def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
+def _solve_extragradient(vi: _Vi, tol: float = 1e-9,
                          max_iter: int = 50000) -> EquilibriumSolution:
-    """Extragradient solution of the game's variational inequality:
-    :func:`solve_vi`'s fallback and the independent cross-check of its
-    active-set path.
+    """Extragradient solution of the assembled game ``vi``'s variational
+    inequality: :func:`solve_vi`'s fallback and the independent
+    cross-check of its active-set path.
 
     Iterates the weighted game map ``F(z) = G z + g0`` of :class:`_Vi`
     and projects onto the coupled feasible set with Dykstra's
@@ -178,7 +180,6 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
     finds no consistent face) and recovers its multipliers.  Raises
     RuntimeError when the feasible set is empty; deterministic.
     """
-    vi = _Vi(g)
     M, c, G, g0 = vi.M, vi.c, vi.G, vi.g0
     P = M.T @ np.linalg.inv(M @ M.T)
 
@@ -210,10 +211,8 @@ def _solve_extragradient(g: GameDefinition, tol: float = 1e-9,
     converged = residual < tol
     face = _active_set(vi, z=z)
     u, x = vi.split(z if face is None else face[0])
-    rec = recover_multipliers(g, u, x)
-    return EquilibriumSolution(u, x, rec.lambda_shared, rec.gamma, it,
-                               residual, converged, "extragradient", rec,
-                               history)
+    return EquilibriumSolution(u, x, it, residual, converged, "extragradient",
+                               recover_multipliers(vi.g, u, x), history)
 
 
 def _certified(vi: _Vi, z):
@@ -241,9 +240,8 @@ def _certified(vi: _Vi, z):
     if not (rec.residual <= tol and (rec.box_forces[lower] >= -tol).all()
             and (rec.box_forces[~lower] <= tol).all()):
         return None
-    return EquilibriumSolution(u, x, rec.lambda_shared, rec.gamma, 0,
-                               max(gap, rec.residual), True, "active_set",
-                               rec)
+    return EquilibriumSolution(u, x, 0, max(gap, rec.residual), True,
+                               "active_set", rec)
 
 
 def _face_solve(G, g0, M, c, lo, hi, cap, state):
@@ -384,17 +382,19 @@ class ClosedLoopEquilibrium:
     within [-cap, 0] sliding on a lower and [0, cap] on an upper bound,
     -cap below, +cap above (cap = ``g.boxes.force``).  ``controller``
     bundles the stacked controller state including recovered multiplier
-    rows; ``plant`` the matching grid state.
+    rows; ``plant`` the matching grid state.  ``u_star``, ``x_star`` and
+    ``gamma`` read through to ``controller``'s u, xhat and gamma.
     """
 
-    u_star: np.ndarray
-    x_star: np.ndarray
     lambda_shared: np.ndarray
-    gamma: np.ndarray
     regimes: tuple
     forces: np.ndarray
     controller: ControllerState
     plant: PlantState
+
+    u_star = property(lambda self: self.controller.u)
+    x_star = property(lambda self: self.controller.xhat)
+    gamma = property(lambda self: self.controller.gamma)
 
 
 def closed_loop_equilibrium(g: GameDefinition,
@@ -423,9 +423,6 @@ def closed_loop_equilibrium(g: GameDefinition,
     ups, nu = fast_equilibrium(Ihat, g.comm_topo)
     lam_rows = np.outer(1.0 / w.r, lam)
     theta = laplacian_pinv(g.comm_topo) @ g.constraints.agent_rows(x)
-    cs = ControllerState(ups, nu, u.copy(), x.copy(), lam_rows, theta,
-                         gamma.copy())
-    plant = PlantState(Ihat.copy(), x[lay.ix_V].copy(),
-                       x[lay.ix_line].copy())
-    return ClosedLoopEquilibrium(u, x, lam, gamma, regimes, force[box], cs,
-                                 plant)
+    cs = ControllerState(ups, nu, u, x, lam_rows, theta, gamma)
+    plant = PlantState(Ihat, x[lay.ix_V], x[lay.ix_line])
+    return ClosedLoopEquilibrium(lam, regimes, force[box], cs, plant)

@@ -15,6 +15,15 @@ from ._kernels import matvec
 from .topology import MicrogridTopology, incidence_matrix
 
 
+def frozen_copy(a) -> np.ndarray:
+    """A read-only float copy of ``a``, so that a record's numbers and
+    what was built from them cannot part, and the caller's array stays
+    writable."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 class SingularSystemError(ValueError):
     """Steady-state system is numerically singular (degenerate parameters)."""
 
@@ -61,9 +70,9 @@ class LineParams:
 
 class PlantParams:
     """Parameter collection for the whole grid: each field of
-    :class:`DguParams` as the array of its value over ``dgus``, and each
-    field of :class:`LineParams` over ``lines``, a line's ``R`` and ``L``
-    as ``R_l`` and ``L_l``."""
+    :class:`DguParams` as the read-only array of its value over ``dgus``,
+    and each field of :class:`LineParams` over ``lines``, a line's ``R``
+    and ``L`` as ``R_l`` and ``L_l``."""
 
     def __init__(self, dgus, lines):
         self.dgus = tuple(dgus)
@@ -72,8 +81,8 @@ class PlantParams:
             for f in fields(cls):
                 name = f.name + "_l" if cls is LineParams and \
                     f.name in ("R", "L") else f.name
-                setattr(self, name,
-                        np.array([getattr(r, f.name) for r in records]))
+                setattr(self, name, frozen_copy(
+                    [getattr(r, f.name) for r in records]))
 
     @property
     def n(self):

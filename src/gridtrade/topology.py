@@ -85,9 +85,14 @@ def edge_pairs(edges):
 
 
 def whole_number(value, what):
-    """``int(value)``; a bool or a number with a fraction is refused."""
-    i = int(value)
-    if isinstance(value, bool) or (not isinstance(value, str) and i != value):
+    """``int(value)`` of a number or numeric text; anything else, a bool
+    or a number with a fraction is refused, naming ``what``."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or isinstance(value, bool) or (
+            not isinstance(value, str) and i != value):
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return i
 
@@ -145,6 +150,7 @@ class AgentLayout:
 
     Agent i's block is (I_i, V_i, I_l of managed lines in ascending edge
     order); blocks are concatenated in agent order.  Total length 2n + m.
+    The index arrays are read-only.
     """
 
     def __init__(self, topo: MicrogridTopology):
@@ -163,6 +169,9 @@ class AgentLayout:
                 self.ix_line[k - 1] = self.offsets[i] + 2 + j
         self.agent_of_pos = np.repeat(np.arange(n), self.dims)
         self.manager_of_edge = np.array(topo.managers) - 1
+        for a in (self.dims, self.offsets, self.ix_I, self.ix_V, self.ix_line,
+                  self.agent_of_pos, self.manager_of_edge):
+            a.flags.writeable = False
 
     def block(self, i: int) -> slice:
         """Slice of agent i's block (1-based agent id)."""

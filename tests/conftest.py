@@ -9,7 +9,7 @@ import pytest
 import gridtrade as gt
 from gridtrade import _kernels, pwa
 from gridtrade.integrate import grid_errors, run_eras
-from gridtrade.oracle import _solve_extragradient
+from gridtrade.oracle import _Vi, _solve_extragradient
 
 RING4_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "ring4.json"
 _RING4 = json.loads(RING4_FILE.read_text())
@@ -102,7 +102,7 @@ def ref_solution(ref_game):
 def ref_extragradient(ref_game):
     """The reference game solved by extragradient with its residual
     history, shared read-only."""
-    return _solve_extragradient(ref_game)
+    return _solve_extragradient(_Vi(ref_game))
 
 
 @pytest.fixture(scope="session")

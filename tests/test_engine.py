@@ -222,6 +222,46 @@ class TestScenarioValidation:
             Scenario.from_dict(d)
         assert ei.value.errors == [message]
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", "four", "topology: n must be a whole number, got 'four'"),
+        ("n", None, "topology: n must be a whole number, got None"),
+        ("n", json.loads("1e400"),      # JSON reads it as inf
+         "topology: n must be a whole number, got inf"),
+        ("edges", 5, "topology.edges: expected a JSON list, got int"),
+        ("managers", 5, "topology.managers: expected a JSON list, got int"),
+        ("comm_edges", [], "topology.comm_edges: graph is not connected")]
+        + [("comm_edges", v, "topology.comm_edges: expected a JSON list, "
+            f"got {type(v).__name__}") for v in (0, "", {}, None)])
+    def test_topology_value_named(self, key, value, message):
+        """The topology's own messages, not those of ``int()`` or of
+        iterating a number; a ``comm_edges`` key is read whatever its
+        value, so an empty or non-list one is refused, not replaced by
+        the physical graph."""
+        d = ring4_dict()
+        d["topology"][key] = value
+        with pytest.raises(ScenarioError) as ei:
+            Scenario.from_dict(d)
+        assert ei.value.errors == [message]
+
+    @pytest.mark.parametrize("n", ["4", np.int64(4), 4.0])
+    def test_node_count_as_text_or_numpy_integer(self, n):
+        d = ring4_dict()
+        d["topology"]["n"] = n
+        assert Scenario.from_dict(d).topo.n == 4
+
+    def test_empty_comm_edges_on_one_node(self):
+        """On one DGU, ``[]`` is the one-node communication graph."""
+        d = ring4_dict()
+        d["topology"] = {"n": 1, "edges": [], "managers": [],
+                         "comm_edges": []}
+        for key in ("dgus", "weights"):
+            d[key] = d[key][:1]
+        d["lines"] = []
+        d["penalties"] = {"rho_V": [1200], "rho_Il": []}
+        scn = Scenario.from_dict(d)
+        assert scn.comm_topo.n == 1 and scn.comm_topo.m == 0
+        assert scn.comm_topo is not scn.topo
+
     @pytest.mark.parametrize("key, where", [
         ("edges", "topology"), ("comm_edges", "topology.comm_edges")])
     @pytest.mark.parametrize("edge", ["12", [1, 2, 3], 5, [1]])
@@ -411,6 +451,50 @@ def ring4_2ms():
         events=[]))
 
 
+class TestReadOnlyGame:
+    """A parsed game's numbers cannot be written, so the caches built
+    from them (``g.boxes``, ``g.x_ref``, the margins) cannot part from
+    them."""
+
+    @pytest.mark.parametrize("read", [
+        lambda scn: scn.plant.V_min, lambda scn: scn.plant.R_l,
+        lambda scn: scn.weights.r, lambda scn: scn.weights.alpha_Il[0],
+        lambda scn: scn.penalties.rho_V,
+        lambda scn: scn.games[1].constraints.A_full,
+        lambda scn: scn.games[1].constraints.s_A_full,
+        lambda scn: scn.games[1].constraints.D_stack,
+        lambda scn: scn.games[1].x_ref,
+        lambda scn: scn.games[1].alpha_Il_edge,
+        lambda scn: scn.games[1].r_edge,
+        lambda scn: scn.games[1].monotonicity,
+        lambda scn: scn.games[1].layout.dims,
+        lambda scn: scn.games[1].layout.offsets,
+        lambda scn: scn.games[1].layout.ix_I,
+        lambda scn: scn.games[1].layout.ix_V,
+        lambda scn: scn.games[1].layout.ix_line,
+        lambda scn: scn.games[1].layout.agent_of_pos,
+        lambda scn: scn.games[1].layout.manager_of_edge],
+        ids=["V_min", "R_l", "r", "alpha_Il", "rho_V", "A_full", "s_A_full",
+             "D_stack", "x_ref", "alpha_Il_edge", "r_edge", "monotonicity",
+             "dims", "offsets", "ix_I", "ix_V", "ix_line", "agent_of_pos",
+             "manager_of_edge"])
+    def test_arrays_read_only(self, ref_scenario, read):
+        a = read(ref_scenario)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 390.0
+
+    def test_caller_arrays_stay_writable(self, ref_scenario):
+        """Each record holds its own copy; the caller's array is neither
+        frozen nor shared."""
+        w = ref_scenario.weights
+        r, rho = w.r.copy(), np.full(4, 1200.0)
+        weights = gt.ObjectiveWeights(r, w.alpha_u, w.alpha_I, w.alpha_V,
+                                      w.alpha_Il)
+        pen = gt.PenaltyParams(rho, np.full(4, 1000.0))
+        r[0] = rho[0] = 1.0
+        assert weights.r[0] == w.r[0] and pen.rho_V[0] == 1200.0
+
+
 class TestReplacedInitialState:
     """A Scenario made by ``dataclasses.replace`` is held to the same
     initial-state rules as a parsed one, with the same messages."""
@@ -507,8 +591,9 @@ class TestClosedLoopAssembly:
     def test_fast_path_matches_reference(self, ref_scenario):
         g = ref_scenario.games[0]
         loop = ClosedLoop(g, ref_scenario.controller)
-        rhs = _kernels.affine_rhs(loop.M, loop.c, loop.psrc, loop.plo,
-                                  loop.phi, loop.force)
+        b = g.boxes
+        rhs = _kernels.affine_rhs(loop.M, loop.c, loop.psrc, b.lo, b.hi,
+                                  b.force)
         rng = np.random.default_rng(33)
         for _ in range(8):
             y = rng.normal(scale=300, size=loop.size)
@@ -520,8 +605,9 @@ class TestClosedLoopAssembly:
     def test_reduced_fast_path_matches_reference(self, ref_scenario):
         g = ref_scenario.games[0]
         loop = ClosedLoop(g, ref_scenario.controller, reduced=True)
-        rhs = _kernels.affine_rhs(loop.M, loop.c, loop.psrc, loop.plo,
-                                  loop.phi, loop.force)
+        b = g.boxes
+        rhs = _kernels.affine_rhs(loop.M, loop.c, loop.psrc, b.lo, b.hi,
+                                  b.force)
         rng = np.random.default_rng(34)
         for _ in range(5):
             y = rng.normal(scale=300, size=loop.size)
@@ -537,11 +623,12 @@ class TestClosedLoopAssembly:
         g = ref_scenario.games[0]
         loop = ClosedLoop(g, ref_scenario.controller)
         y0 = loop.pack(ref_attractor.plant, ref_attractor.controller)
-        assert _kernels.penalty_force(y0[loop.psrc], loop.plo, loop.phi,
-                                      loop.force).any()
+        b = g.boxes
+        assert _kernels.penalty_force(y0[loop.psrc], b.lo, b.hi,
+                                      b.force).any()
         dt = 1e-5
-        f = _kernels.affine_rhs(loop.M, loop.c, loop.psrc, loop.plo,
-                                loop.phi, loop.force)
+        f = _kernels.affine_rhs(loop.M, loop.c, loop.psrc, b.lo, b.hi,
+                                b.force)
         k1 = f(y0)
         k2 = f(y0 + 0.5 * dt * k1)
         k3 = f(y0 + 0.5 * dt * k2)
@@ -604,10 +691,12 @@ class TestBlockProbe:
     def loop_map(loop):
         """The map the loop probes: its right-hand side without the
         penalty correction, on one flat state."""
+        b = loop.g.boxes
+
         def smooth(y):
             dy = loop.rhs_reference(y)
             dy[loop.psrc] -= _kernels.penalty_force(
-                y[loop.psrc], loop.plo, loop.phi, loop.force)
+                y[loop.psrc], b.lo, b.hi, b.force)
             return dy
         return smooth
 

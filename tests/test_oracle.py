@@ -1,4 +1,5 @@
-from dataclasses import replace
+import copy
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import gridtrade as gt
 from gridtrade import ControllerParams, _kernels, closed_loop_equilibrium, \
-    oracle, solve_vi
+    engine, oracle, solve_vi
 from gridtrade.controller import ControllerState, \
     boundary_layer_energy_matrix, controller_rhs, lyapunov_diagnostics
 from gridtrade.engine import ClosedLoop
+from gridtrade.integrate import Trajectory
 from gridtrade.oracle import _Vi, _solve_extragradient
 from gridtrade.plant import PlantState
 
@@ -133,13 +135,13 @@ class TestSolveVi:
     @pytest.mark.slow
     def test_deterministic(self, ref_game, ref_extragradient):
         a = ref_extragradient
-        b = _solve_extragradient(ref_game)
+        b = _solve_extragradient(_Vi(ref_game))
         assert np.array_equal(a.u_star, b.u_star)
         assert np.array_equal(a.x_star, b.x_star)
         assert a.iterations == b.iterations
 
     def test_iteration_budget_flag(self, ref_game):
-        sol = _solve_extragradient(ref_game, tol=1e-300, max_iter=5)
+        sol = _solve_extragradient(_Vi(ref_game), tol=1e-300, max_iter=5)
         assert not sol.converged
         assert sol.iterations == 5
         assert np.isfinite(sol.u_star).all()
@@ -238,7 +240,7 @@ class TestActiveSet:
         g = request.getfixturevalue(era)
         a = solve_vi(g)
         b = (request.getfixturevalue("ref_extragradient")
-             if era == "ref_game" else _solve_extragradient(g))
+             if era == "ref_game" else _solve_extragradient(_Vi(g)))
         assert a.method == "active_set" and a.iterations == 0
         assert b.method == "extragradient"
         assert np.array_equal(a.u_star, b.u_star)
@@ -307,7 +309,7 @@ class TestOneBoxDescription:
     @pytest.mark.parametrize("reduced", [False, True])
     def test_consumers_index_the_game_boxes(self, ref_game, ref_cp, reduced,
                                             monkeypatch):
-        """ClosedLoop's penalty arrays, the oracle's box bounds and the
+        """ClosedLoop's penalized rows, the oracle's box bounds and the
         closed-loop active set's caps all read ``g.boxes``."""
         g = ref_game
         b = g.boxes
@@ -316,9 +318,7 @@ class TestOneBoxDescription:
         cs.xhat = np.arange(1.0, g.layout.size + 1.0)
         y = loop.pack(PlantState.zeros(g.n, g.m), cs)
         assert np.array_equal(y[loop.psrc], b.pos + 1.0)
-        assert np.array_equal(loop.plo, b.lo)
-        assert np.array_equal(loop.phi, b.hi)
-        assert np.array_equal(loop.force, b.force)
+        assert not {"plo", "phi", "force"} & set(vars(loop))
 
         vi = _Vi(g)
         caps = []
@@ -340,6 +340,69 @@ class TestOneBoxDescription:
         below = np.array([r == "below" for r in eq.regimes])
         assert below.any()
         assert np.array_equal(eq.forces[below], -b.force[below])
+
+    def test_diagnostics_index_the_game_boxes(self, ref_game, ref_cp):
+        """The report's V and I_l violations measure against ``g.boxes``
+        (voltages first, then lines): on a copy of the game whose boxes,
+        and not its plant, are narrowed, states inside the plant's
+        bounds violate them."""
+        g = copy.copy(ref_game)
+        b = ref_game.boxes
+        g.boxes = replace(b, lo=b.lo + 2.0, hi=b.hi - 3.0)
+        lay = engine.StateLayout(g)
+        p = g.plant
+        rng = np.random.default_rng(7)
+        V = rng.uniform(p.V_min, p.V_max, (6, g.n))
+        Il = rng.uniform(p.Il_min, p.Il_max, (6, g.m))
+        y = np.zeros((6, lay.size))
+        y[:, lay.plant["V"]], y[:, lay.plant["I_l"]] = V, Il
+        traj = Trajectory(np.arange(6.0), y, np.zeros(6, dtype=int))
+        diag = engine._diagnostics(traj, [g], ref_cp, lay)
+        for col, v, at in ((-2, V, slice(None, g.n)),
+                           (-1, Il, slice(g.n, None))):
+            want = (np.maximum(g.boxes.lo[at] - v, 0).max(-1)
+                    + np.maximum(v - g.boxes.hi[at], 0).max(-1))
+            assert want.tobytes() == diag[:, col].tobytes()
+            assert want.max() > 0
+
+
+class TestOneOwner:
+    """Each value of the oracle's results is held once; the other names
+    read through to it, and a solve assembles its game once."""
+
+    def test_result_fields(self):
+        assert [f.name for f in fields(oracle.ClosedLoopEquilibrium)] == [
+            "lambda_shared", "regimes", "forces", "controller", "plant"]
+        assert [f.name for f in fields(oracle.EquilibriumSolution)] == [
+            "u_star", "x_star", "iterations", "residual", "converged",
+            "method", "recovery", "history"]
+
+    def test_attractor_reads_its_controller(self, ref_attractor):
+        att = ref_attractor
+        assert att.u_star is att.controller.u
+        assert att.x_star is att.controller.xhat
+        assert att.gamma is att.controller.gamma
+
+    def test_solution_reads_its_recovery(self, ref_solution):
+        sol = ref_solution
+        assert sol.lambda_star is sol.recovery.lambda_shared
+        assert sol.gamma_star is sol.recovery.gamma
+
+    def test_one_assembly_when_falling_back(self, monkeypatch):
+        """With the active set made to fail, the extragradient fallback
+        solves the ``_Vi`` that ``solve_vi`` built."""
+        built = []
+
+        def counted(g):
+            built.append(g)
+            return _Vi(g)
+
+        monkeypatch.setattr(oracle, "_active_set",
+                            lambda vi, cp=None, z=None: None)
+        monkeypatch.setattr(oracle, "_Vi", counted)
+        sol = solve_vi(make_single_game())
+        assert sol.method == "extragradient" and sol.converged
+        assert len(built) == 1
 
 
 class TestRecoverMultipliers:
@@ -453,12 +516,12 @@ def assert_filippov_equilibrium(g, cp):
     rest = np.ones(y.size, dtype=bool)
     rest[rows] = False
     tol = 1e-9 * np.abs(y).max()
-    rhs = _kernels.affine_rhs(loop.M, loop.c, loop.psrc, loop.plo, loop.phi,
-                              loop.force)
+    b = g.boxes
+    rhs = _kernels.affine_rhs(loop.M, loop.c, loop.psrc, b.lo, b.hi, b.force)
     assert np.abs(rhs(y)[rest]).max() <= tol
     upper = np.array([r == "upper-sliding" for r in eq.regimes])[sliding]
     held = np.where(upper, 1.0, -1.0) * (loop.M[rows] @ y + loop.c[rows])
-    cap = loop.force[sliding]
+    cap = b.force[sliding]
     assert (held >= -tol).all() and (held <= cap + tol).all()
     assert (np.abs(held - np.abs(eq.forces[sliding])) <= tol).all()
     return eq

@@ -33,7 +33,7 @@ from .controller import (ControllerParams, ControllerState, consensus_errors,
 from .game import (GameDefinition, ObjectiveWeights, PenaltyParams,
                    PriceParams, build_game)
 from .integrate import (IntegrationError, IntegratorConfig, Trajectory,
-                        grid_errors, run_eras)
+                        grid_errors, run_eras, sample_rows)
 from .oracle import solve_vi
 from .plant import (DguParams, LineParams, PlantParams, PlantState,
                     apply_load_step, plant_rhs)
@@ -529,7 +529,7 @@ def run_scenario(scenario: Scenario, outdir=None, reduced=False):
             return loop.flow().propagate(y, n_samples, cfg.sample_period,
                                          cfg.dt)
         per = round(cfg.sample_period / cfg.dt)
-        out = np.empty((n_samples, loop.size))
+        out = sample_rows(n_samples, loop.size)
         return out[:loop.run_segment(y, cfg.dt, n_samples * per, per, out)], y
 
     traj = run_eras(y, cfg, [ev.time for ev in scenario.events], advance)

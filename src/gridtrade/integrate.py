@@ -74,6 +74,8 @@ def grid_errors(cfg: IntegratorConfig, event_times, dt_limit=np.inf):
     strictly inside (0, t_end], they and ``t_end`` must sit on the sample
     grid, and, for ``rk4``, the sample period must be a whole number of
     steps and ``dt`` must lie under the stability bound ``dt_limit``.
+    Past 2**53 steps per sample a float cannot tell a whole number of
+    steps from a fraction, so a finer ``dt`` is refused as too small.
     An empty list means a run may start.
     """
     times = list(event_times)
@@ -83,7 +85,10 @@ def grid_errors(cfg: IntegratorConfig, event_times, dt_limit=np.inf):
         errors.append("event times must be strictly increasing")
     if any(not (0.0 < t <= cfg.t_end) for t in times):
         errors.append("event times must lie in (0, t_end]")
-    if cfg.method == "rk4" and not _is_multiple(sp, cfg.dt):
+    if cfg.method == "rk4" and not sp / cfg.dt <= 2.0 ** 53:
+        errors.append(f"dt={cfg.dt:g} is too small: sample_period / dt = "
+                      f"{sp / cfg.dt:g} steps exceeds 2**53")
+    elif cfg.method == "rk4" and not _is_multiple(sp, cfg.dt):
         errors.append("sample_period must be an integer multiple of dt")
     if cfg.method == "rk4" and cfg.dt >= dt_limit:
         errors.append(f"dt={cfg.dt:g} violates the line-dynamics stability "
@@ -94,6 +99,18 @@ def grid_errors(cfg: IntegratorConfig, event_times, dt_limit=np.inf):
     errors += [f"event time {t} not on the sample grid" for t in times
                if not _is_multiple(t, sp)]
     return errors
+
+
+def sample_rows(n_samples, size):
+    """An uninitialised block of ``n_samples`` rows of ``size`` states for
+    an era's samples; :class:`IntegrationError` naming the rows and bytes
+    when it cannot be allocated."""
+    try:
+        return np.empty((n_samples, size))
+    except MemoryError as err:
+        raise IntegrationError(
+            f"cannot allocate {n_samples} sample rows of {size} states "
+            f"({8.0 * n_samples * size:.3g} bytes)") from err
 
 
 def run_eras(y0, cfg: IntegratorConfig, event_times, advance):

@@ -47,33 +47,31 @@ class _Vi:
         con = g.constraints
         self.g = g
         self.size = size = g.n + lay.size
-        self.z_of_u = z_of_u = lay.offsets[:-1] + np.arange(g.n)
+        agents = np.arange(g.n)
+        self.z_of_u = z_of_u = lay.offsets[:-1] + agents
         self.z_of_x = z_of_x = np.arange(lay.size) + lay.agent_of_pos + 1
         local = g.n + g.m          # row of agent 1's local balance
-        self.M = np.zeros((local + g.n, size))
-        self.M[:local, z_of_x] = con.A_full
-        self.M[local + lay.agent_of_pos, z_of_x] = con.D_stack
-        self.M[local + np.arange(g.n), z_of_u] = -1.0
+        self.M = M = np.zeros((local + g.n, size))
+        M[:local, z_of_x] = con.A_full
+        M[local + lay.agent_of_pos, z_of_x] = con.D_stack
+        M[local + agents, z_of_u] = -1.0
         self.c = np.concatenate([con.s_A_full, np.zeros(g.n)])
-        self.box = z_of_x[g.boxes.pos]
-        self.lo = np.full(size, -np.inf)
-        self.hi = np.full(size, np.inf)
-        self.lo[self.box] = g.boxes.lo
-        self.hi[self.box] = g.boxes.hi
-        # the probe rows hold 0/1 entries, so their aggregates are exact
+        self.box = box = z_of_x[g.boxes.pos]
+        self.hi = hi = np.full(size, np.inf)
+        self.lo = lo = -hi
+        lo[box], hi[box] = g.boxes.lo, g.boxes.hi
+        # the probe rows hold 0/1 entries, so their aggregates are exact;
+        # each row's aggregate broadcasts over its agents
         Gx, gx = _kernels.affine_probe(
-            lambda x: local_gradient(g, x, np.broadcast_to(
-                x[..., lay.ix_I].sum(-1)[..., None], x.shape[:-1] + (g.n,)),
-                with_penalty=False), lay.size)
+            lambda x: local_gradient(g, x, x[..., lay.ix_I].sum(
+                -1, keepdims=True), with_penalty=False), lay.size)
         r_row = w.r[lay.agent_of_pos]
-        self.G = np.zeros((size, size))
-        self.g0 = np.zeros(size)
-        self.G[np.ix_(z_of_x, z_of_x)] = r_row[:, None] * Gx
-        self.g0[z_of_x] = r_row * gx
-        self.G[z_of_u, z_of_u] = w.r * w.alpha_u
-        self.g0[z_of_u] = -w.r * w.alpha_u * g.plant.u_ref
-        self.start = np.clip(self.join(g.plant.u_ref, g.x_ref), self.lo,
-                             self.hi)
+        r_au = w.r * w.alpha_u
+        self.G = G = np.zeros((size, size))
+        G[z_of_x[:, None], z_of_x] = r_row[:, None] * Gx
+        G[z_of_u, z_of_u] = r_au
+        self.g0 = self.join(-r_au * g.plant.u_ref, r_row * gx)
+        self.start = self.join(g.plant.u_ref, g.x_ref).clip(lo, hi)
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
@@ -226,42 +224,58 @@ def _certified(vi: _Vi, z):
     relative to max(1, the size of the stationarity right-hand side), and
     every active box's force points into the box.
     """
-    g, lo, hi = vi.g, vi.lo, vi.hi
+    lo, hi = vi.lo, vi.hi
     gap = float(np.abs(vi.M @ z - vi.c).max())
     if not gap <= 1e-8 \
-            or (z < lo - 1e-12 * np.maximum(1.0, np.abs(lo))).any() \
-            or (z > hi + 1e-12 * np.maximum(1.0, np.abs(hi))).any():
+            or ((z < lo - 1e-12 * np.maximum(1.0, np.abs(lo)))
+                | (z > hi + 1e-12 * np.maximum(1.0, np.abs(hi)))).any():
         return None
     u, x = vi.split(z)
-    rec = recover_multipliers(g, u, x)
+    rec = recover_multipliers(vi.g, u, x)
     tol = 1e-9 * rec.scale
-    active = rec.active_lower | rec.active_upper
-    lower = rec.active_lower[active]
-    if not (rec.residual <= tol and (rec.box_forces[lower] >= -tol).all()
-            and (rec.box_forces[~lower] <= tol).all()):
+    # an active box's force points into the box: up on a lower bound
+    lower = rec.active_lower[rec.active_lower | rec.active_upper]
+    if not (rec.residual <= tol and (np.where(
+            lower, -rec.box_forces, rec.box_forces) <= tol).all()):
         return None
     return EquilibriumSolution(u, x, 0, max(gap, rec.residual), True,
                                "active_set", rec)
 
 
-def _face_solve(G, g0, M, c, lo, hi, cap, state):
-    """Solve ``G z + g0 + M^T mu + pin forces = 0``, ``M z = c`` on one
-    face: ``state`` (a :mod:`pwa` regime per entry) pins LOWER/UPPER
-    entries to their bound and adds -cap (BELOW) or +cap (ABOVE) to
-    saturated rows.  Returns (z, mu, pin forces in entry order)."""
-    shift = g0 - saturated_force(state, cap)
-    pins = np.flatnonzero((state == LOWER) | (state == UPPER))
-    nz, nc = g0.size, c.size
-    # the KKT matrix [[G, Meq^T], [Meq, 0]] with Meq = [M; unit rows at pins]
-    K = np.zeros((nz + nc + pins.size,) * 2)
-    K[:nz, :nz] = G
-    K[nz:nz + nc, :nz] = M
-    K[:nz, nz:nz + nc] = M.T
-    rows = nz + nc + np.arange(pins.size)
-    K[rows, pins] = K[pins, rows] = 1.0
-    sol = np.linalg.solve(K, np.concatenate(
-        [-shift, c, np.where(state[pins] == LOWER, lo[pins], hi[pins])]))
-    return sol[:nz], sol[nz:nz + nc], sol[nz + nc:]
+def _face_system(vi: _Vi, cp: ControllerParams = None):
+    """The KKT block of :func:`_active_set`'s faces, its constant
+    right-hand side and each entry's cap, assembled once per solve.
+
+    The block is ``[[G, M^T, E^T], [M, 0, 0], [E, 0, 0]]`` at its largest,
+    E the unit rows of every boxed entry pinned (only those can be); its
+    pin rows and columns start zero.  The right-hand side is
+    ``(-g0, c, 0)``.  With ``cp`` the voltage rows of G carry the
+    controller's eps_u I_i coupling and a box's cap is its penalty's
+    force, ``g.boxes.force`` (inf off the boxes); without ``cp`` no box
+    saturates and the caps are None.
+    """
+    nz = vi.size
+    base = nz + vi.c.size
+    K = np.zeros((base + vi.box.size,) * 2)
+    K[:nz, :nz] = vi.G
+    K[nz:base, :nz] = vi.M
+    K[:nz, nz:base] = vi.M.T
+    cap = None
+    if cp is not None:
+        K[vi.z_of_u, vi.z_of_x[vi.g.layout.ix_I]] += cp.eps_u
+        cap = np.full(nz, np.inf)
+        cap[vi.box] = vi.g.boxes.force
+    return K, np.concatenate([-vi.g0, vi.c, np.zeros(vi.box.size)]), cap
+
+
+def _worst(score, tol):
+    """Index of the largest entry of ``score`` when it exceeds ``tol``,
+    else None; the first such index on a tie."""
+    if score.size:
+        j = int(score.argmax())
+        if score[j] > tol:
+            return j
+    return None
 
 
 def _active_set(vi: _Vi, cp: ControllerParams = None, z=None):
@@ -271,61 +285,95 @@ def _active_set(vi: _Vi, cp: ControllerParams = None, z=None):
 
     Without ``cp``: the game's variational inequality, every box holding
     any force.  With ``cp``: the penalized closed loop's attractor; the
-    voltage rows carry the controller's eps_u I_i coupling (added to a
-    copy of ``vi.G``) and a box holds at most its penalty's force, r_i
-    rho_V (voltage) or r_edge rho_Il (line), beyond which the entry
-    leaves and the penalty saturates.  From the bounds within 1e-4 of
-    ``z`` (default: ``vi.start``, the reference point clipped into the
-    boxes) each round solves the face and moves one entry, first rule
-    that applies: free the most wrong-signed pin; saturate the pin most
-    over its cap; re-pin the saturated entry furthest back inside; pin
-    the most violated free entry.  Returns (z, balance multipliers,
-    regime per entry, force per entry), or None on a singular or
-    non-finite face or after max(40, 2 len(z)) rounds.
+    voltage rows carry the controller's eps_u I_i coupling and a box
+    holds at most its penalty's force, r_i rho_V (voltage) or r_edge
+    rho_Il (line), beyond which the entry leaves and the penalty
+    saturates.  From the bounds within 1e-4 of ``z`` (default:
+    ``vi.start``, the reference point clipped into the boxes) each round
+    solves ``G z + g0 + M^T mu + pin forces = 0``, ``M z = c`` on one
+    face (pinned entries at their bound, saturated rows given -cap below
+    or +cap above) and moves one entry.
+
+    The KKT block and its constant right-hand side are assembled once
+    (:func:`_face_system`); a round writes only its pins' rows, columns
+    and bounds, a move only its entry's right-hand side, and the face
+    solves the leading block.  The rules are tested one at a time, in
+    order, and the first that applies moves its entry: free the most
+    wrong-signed pin; saturate the pin most over its cap; re-pin the
+    saturated entry furthest back inside; pin the most violated free
+    entry.  The middle two need caps, so they run only with ``cp``.
+    Returns (z, balance multipliers, regime per entry, force per entry),
+    or None on a singular or non-finite face or after max(40, 2 len(z))
+    rounds.
     """
-    M, c, lo, hi, G, g0 = vi.M, vi.c, vi.lo, vi.hi, vi.G, vi.g0
-    cap = np.full(vi.size, np.inf)
-    if cp is not None:
-        G = G.copy()
-        G[vi.z_of_u, vi.z_of_x[vi.g.layout.ix_I]] += cp.eps_u
-        cap[vi.box] = vi.g.boxes.force
+    lo, hi, g0, nz = vi.lo, vi.hi, vi.g0, vi.size
+    base = nz + vi.c.size                # row of the first pin
+    K, rhs, cap = _face_system(vi, cp)
     if z is None:
         z = vi.start
     state = np.where(z - lo <= 1e-4, LOWER,
                      np.where(hi - z <= 1e-4, UPPER, INTERIOR))
-    none = np.full(vi.size, -np.inf)
-    for _ in range(max(40, 2 * vi.size)):
+    # per entry: +1 at or beyond its lower bound, -1 at or beyond its
+    # upper one, 0 inside (the start saturates no entry); that bound; the
+    # force of a saturated penalty (+0.0 elsewhere)
+    side = (INTERIOR - state).astype(float)
+    bound = np.where(side < 0.0, hi, lo)
+    pinned = side != 0.0
+    saturated = np.zeros(nz, dtype=bool)
+    sat_force = np.zeros(nz)
+
+    def enter(j, s):
+        """Entry j moves to regime s."""
+        state[j] = s
+        pinned[j] = s in (LOWER, UPPER)
+        saturated[j] = s in (BELOW, ABOVE)
+        side[j] = (s < INTERIOR) - (s > INTERIOR)
+        bound[j] = hi[j] if s > INTERIOR else lo[j]
+        if cap is not None:     # only capped boxes saturate
+            # a saturated box's force on its stationarity row is the
+            # flow's negated; negating cap, not the result, keeps a free
+            # entry's +0.0
+            sat_force[j] = saturated_force(s, -cap[j])
+            rhs[j] = -(g0[j] - saturated_force(s, cap[j]))
+
+    rows = np.arange(base, K.shape[0])
+    for _ in range(max(40, 2 * nz)):
+        pins = pinned.nonzero()[0]
+        n = base + pins.size
+        K[base:, :nz] = K[:nz, base:] = 0.0
+        K[rows[:pins.size], pins] = K[pins, rows[:pins.size]] = 1.0
+        rhs[base:n] = bound[pins]
         try:
-            zf, mu, pin_forces = _face_solve(G, g0, M, c, lo, hi, cap, state)
+            sol = np.linalg.solve(K[:n, :n], rhs[:n])
         except np.linalg.LinAlgError:
             return None
-        if not (np.isfinite(zf).all() and np.isfinite(pin_forces).all()):
+        zf, mu, pull = sol[:nz], sol[nz:base], sol[base:]
+        if not (np.isfinite(zf).all() and np.isfinite(pull).all()):
             return None
-        lower = state == LOWER
-        pinned = lower | (state == UPPER)
-        # a saturated box's force on its stationarity row is the flow's
-        # negated; negating cap, not the result, keeps a free entry's +0.0
-        force = saturated_force(state, -cap)
-        force[pinned] = pin_forces
-        inward = np.where(lower, -force, force)
-        rules = (
-            (np.where(pinned, -inward, none), 1e-9,
-             np.full(vi.size, INTERIOR)),
-            (np.where(pinned, inward - cap, none), 1e-9,
-             np.where(lower, BELOW, ABOVE)),
-            (np.where(state == BELOW, zf - lo,
-                      np.where(state == ABOVE, hi - zf, none)),
-             1e-12, np.where(state == BELOW, LOWER, UPPER)),
-            (np.where(state == INTERIOR, np.maximum(lo - zf, zf - hi), none),
-             1e-12, np.where(zf < lo, LOWER, UPPER)),
-        )
-        for score, tol, target in rules:
-            j = int(np.argmax(score))
-            if score[j] > tol:
-                state[j] = target[j]
-                break
-        else:
-            return zf, mu, state, force
+        outward = pull * side[pins]      # each pin's force out of its box
+        j = _worst(outward, 1e-9)
+        if j is not None:
+            enter(pins[j], INTERIOR)
+            continue
+        if cap is not None:
+            j = _worst(-outward - cap[pins], 1e-9)
+            if j is not None:
+                enter(pins[j], BELOW if side[pins[j]] > 0 else ABOVE)
+                continue
+            sats = saturated.nonzero()[0]
+            j = _worst((zf[sats] - bound[sats]) * side[sats], 1e-12)
+            if j is not None:
+                enter(sats[j], LOWER if side[sats[j]] > 0 else UPPER)
+                continue
+        out = np.maximum(lo - zf, zf - hi)
+        out[state != INTERIOR] = -np.inf
+        j = _worst(out, 1e-12)
+        if j is not None:
+            enter(j, LOWER if zf[j] < lo[j] else UPPER)
+            continue
+        force = sat_force.copy()
+        force[pins] = pull
+        return zf, mu, state, force
     return None
 
 
@@ -347,8 +395,8 @@ def recover_multipliers(g: GameDefinition, u, x) -> MultiplierRecovery:
     u, x = np.asarray(u), np.asarray(x)
     gamma = -w.r * w.alpha_u * (u - p.u_ref)
 
-    agg = np.full(g.n, x[lay.ix_I].sum())
-    smooth = local_gradient(g, x, agg, with_penalty=False)
+    # every agent's aggregate is the one sum of generated currents
+    smooth = local_gradient(g, x, x[lay.ix_I].sum(), with_penalty=False)
     r_row = w.r[lay.agent_of_pos]
     rhs = -r_row * smooth + gamma[lay.agent_of_pos] * g.constraints.D_stack
 
@@ -358,14 +406,14 @@ def recover_multipliers(g: GameDefinition, u, x) -> MultiplierRecovery:
     active_upper = np.zeros(lay.size, dtype=bool)
     active_lower[b.pos] = np.abs(v - b.lo) <= _ACTIVE_TOL
     active_upper[b.pos] = np.abs(v - b.hi) <= _ACTIVE_TOL
-    inactive = ~(active_lower | active_upper)
+    active = active_lower | active_upper
+    inactive = ~active
 
     AT = g.constraints.A_full.T
-    sol_ls, _, rank, _ = np.linalg.lstsq(AT[inactive], rhs[inactive], rcond=None)
-    lam = sol_ls
+    lam, _, rank, _ = np.linalg.lstsq(AT[inactive], rhs[inactive], rcond=None)
     fit = AT @ lam - rhs
     residual = float(np.abs(fit[inactive]).max()) if inactive.any() else 0.0
-    box_forces = fit[~inactive] if (~inactive).any() else np.zeros(0)
+    box_forces = fit[active]
     return MultiplierRecovery(lam, gamma, residual, int(rank),
                               rank < g.n + g.m, active_lower, active_upper,
                               box_forces, max(1.0, float(np.abs(rhs).max())))

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .integrate import IntegrationError
+from .integrate import IntegrationError, sample_rows
 
 BELOW, LOWER, INTERIOR, UPPER, ABOVE = range(5)
 REGIME_NAMES = ("below", "lower-sliding", "interior", "upper-sliding", "above")
@@ -207,7 +207,7 @@ class PiecewiseAffineFlow:
         tick = sample_period / 2.0 ** K
         unit = 1 << K                      # ticks per sample
         fine = 1 << BISECT_LEVELS          # ticks per finest regular step
-        out = np.empty((n_samples, self.size))
+        out = sample_rows(n_samples, self.size)
         pattern, y = self.classify(y)
         p = tau = 0
         total = n_samples * unit

@@ -226,6 +226,20 @@ class TestSimulate:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_dt_below_float_resolution_exits_1(self, tmp_path, capsys):
+        """``--dt 1e-300`` on a 2 ms ring4 is refused before any step."""
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(ring4_dict(
+            integrator={"method": "rk4", "dt": "1e-5 s", "t_end": "0.002 s"},
+            events=[])))
+        rc = main(["simulate", str(path), "--out", str(tmp_path / "r"),
+                   "--dt", "1e-300"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: invalid scenario:\n  - dt=1e-300 is too small: "
+            "sample_period / dt = 1e+297 steps exceeds 2**53\n")
+        assert not (tmp_path / "r" / "timeseries.csv").exists()
+
     def test_unknown_flag(self, short_scenario):
         with pytest.raises(SystemExit) as ei:
             main(["simulate", short_scenario, "--frobnicate"])

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
@@ -911,6 +912,19 @@ class TestRunScenario:
                 replace(scn, integrator=replace(scn.integrator, **change))
             assert ei.value.errors == [message]
 
+    def test_replaced_dt_below_float_resolution(self, ring4_2ms):
+        """A dt of 1e-300 asks for 1e297 rk4 steps per sample, past what a
+        float counts exactly: refused where the Scenario is made, at
+        once, rather than run."""
+        t0 = time.perf_counter()
+        with pytest.raises(ScenarioError) as ei:
+            replace(ring4_2ms, integrator=replace(ring4_2ms.integrator,
+                                                  dt=1e-300))
+        assert time.perf_counter() - t0 < 1.0
+        assert ei.value.errors == [
+            "dt=1e-300 is too small: sample_period / dt = 1e+297 steps "
+            "exceeds 2**53"]
+
     def test_determinism_byte_identical(self, tmp_path, short_scenario_dict):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_scenario(Scenario.from_dict(short_scenario_dict), outdir=str(out1))
@@ -1070,6 +1084,19 @@ class TestRuntimeFailure:
         I_l = engine.StateLayout(scn.games[0]).plant["I_l"]
         assert ei.value.y_last[I_l][0] == 1e308
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["rk4", "pwa"])
+    def test_unallocatable_trajectory(self, method):
+        """2e14 samples of ring4's 104 states cannot be held: the run
+        ends in an IntegrationError that names the rows and the bytes."""
+        scn = Scenario.from_dict(ring4_dict(
+            integrator={"method": method, "dt": "1e-15 s", "t_end": "0.2 s"},
+            events=[], output={"sample_period": "1e-15 s"}))
+        with pytest.raises(gt.IntegrationError) as ei:
+            run_scenario(scn)
+        assert str(ei.value) == ("cannot allocate 200000000000000 sample "
+                                 "rows of 104 states (1.66e+17 bytes)")
+        assert ei.value.trajectory.t.tolist() == [0.0]
 
     def test_failed_era_solve_exported_as_error(self, tmp_path,
                                                 monkeypatch):

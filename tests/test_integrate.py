@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,17 @@ class TestEvents:
                                sample_period=1.0)
         assert grid_errors(cfg, []) == [
             "sample_period must be an integer multiple of dt"]
+
+    def test_step_count_within_float_resolution(self):
+        """2**53 steps per sample are the most a float counts exactly: one
+        more power of two is refused as a dt too small, whatever the
+        multiple test would say."""
+        cfg = IntegratorConfig(method="rk4", dt=2.0 ** -53, t_end=1.0,
+                               sample_period=1.0)
+        assert grid_errors(cfg, []) == []
+        assert grid_errors(replace(cfg, dt=2.0 ** -54), []) == [
+            "dt=5.55112e-17 is too small: sample_period / dt = "
+            "1.80144e+16 steps exceeds 2**53"]
 
 
 class TestConfig:

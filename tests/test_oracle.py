@@ -1,5 +1,7 @@
 import copy
+import importlib.util
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +16,13 @@ from gridtrade.engine import ClosedLoop
 from gridtrade.integrate import Trajectory
 from gridtrade.oracle import _Vi, _solve_extragradient
 from gridtrade.plant import PlantState
+from gridtrade.pwa import (ABOVE, BELOW, INTERIOR, LOWER, UPPER,
+                           saturated_force)
 
 from conftest import make_single_game, regime_names, ring_scenario
 
 CP = ControllerParams(0.01, 0.1)
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def scaled_game(scn, factor):
@@ -283,6 +288,121 @@ class TestActiveSet:
         assert (z >= vi.lo - 1e-9).all() and (z <= vi.hi + 1e-9).all()
 
 
+def eager_face_solve(G, g0, M, c, lo, hi, cap, state):
+    """One face of :func:`eager_active_set`, its KKT matrix built anew."""
+    shift = g0 - saturated_force(state, cap)
+    pins = np.flatnonzero((state == LOWER) | (state == UPPER))
+    nz, nc = g0.size, c.size
+    K = np.zeros((nz + nc + pins.size,) * 2)
+    K[:nz, :nz] = G
+    K[nz:nz + nc, :nz] = M
+    K[:nz, nz:nz + nc] = M.T
+    rows = nz + nc + np.arange(pins.size)
+    K[rows, pins] = K[pins, rows] = 1.0
+    sol = np.linalg.solve(K, np.concatenate(
+        [-shift, c, np.where(state[pins] == LOWER, lo[pins], hi[pins])]))
+    return sol[:nz], sol[nz:nz + nc], sol[nz + nc:]
+
+
+def eager_active_set(vi, cp=None, z=None):
+    """The reference active set: a fresh KKT matrix per face and every
+    switching rule scored on every entry each round."""
+    M, c, lo, hi, G, g0 = vi.M, vi.c, vi.lo, vi.hi, vi.G, vi.g0
+    cap = np.full(vi.size, np.inf)
+    if cp is not None:
+        G = G.copy()
+        G[vi.z_of_u, vi.z_of_x[vi.g.layout.ix_I]] += cp.eps_u
+        cap[vi.box] = vi.g.boxes.force
+    if z is None:
+        z = vi.start
+    state = np.where(z - lo <= 1e-4, LOWER,
+                     np.where(hi - z <= 1e-4, UPPER, INTERIOR))
+    none = np.full(vi.size, -np.inf)
+    for _ in range(max(40, 2 * vi.size)):
+        try:
+            zf, mu, pin_forces = eager_face_solve(G, g0, M, c, lo, hi, cap,
+                                                  state)
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.isfinite(zf).all() and np.isfinite(pin_forces).all()):
+            return None
+        lower = state == LOWER
+        pinned = lower | (state == UPPER)
+        force = saturated_force(state, -cap)
+        force[pinned] = pin_forces
+        inward = np.where(lower, -force, force)
+        rules = (
+            (np.where(pinned, -inward, none), 1e-9,
+             np.full(vi.size, INTERIOR)),
+            (np.where(pinned, inward - cap, none), 1e-9,
+             np.where(lower, BELOW, ABOVE)),
+            (np.where(state == BELOW, zf - lo,
+                      np.where(state == ABOVE, hi - zf, none)),
+             1e-12, np.where(state == BELOW, LOWER, UPPER)),
+            (np.where(state == INTERIOR, np.maximum(lo - zf, zf - hi), none),
+             1e-12, np.where(zf < lo, LOWER, UPPER)),
+        )
+        for score, tol, target in rules:
+            j = int(np.argmax(score))
+            if score[j] > tol:
+                state[j] = target[j]
+                break
+        else:
+            return zf, mu, state, force
+    return None
+
+
+def assert_same_faces(g, cp, z=None):
+    """The active set and :func:`eager_active_set` end on the same face
+    with the same bits: z, the balance multipliers, the regime per entry
+    and the force per entry."""
+    vi = _Vi(g)
+    got = oracle._active_set(vi, cp, z)
+    want = eager_active_set(vi, cp, z)
+    assert (got is None) == (want is None)
+    for a, b in zip(got or (), want or ()):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    return want
+
+
+def ring_tree_scenario(n, seed):
+    """The benchmark's seeded ring of ``n`` DGUs (``bench/workloads.py``)."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return gt.Scenario.from_dict(workloads.ring_tree(n, seed))
+
+
+class TestActiveSetFaces:
+    """The active set assembles its KKT block once and tests one rule at a
+    time; it keeps the faces of the eager one above, bit for bit."""
+
+    @pytest.mark.parametrize("era", ["ref_game", "ref_post_game"])
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_ring4_eras(self, era, capped, ref_cp, request):
+        g = request.getfixturevalue(era)
+        cp = ref_cp if capped else None
+        face = assert_same_faces(g, cp)
+        assert face is not None
+        # a warm start on the face found: the start pins its entries
+        assert_same_faces(g, cp, face[0])
+
+    def test_ring16(self):
+        scn = ring_tree_scenario(16, 0)
+        for g in scn.games:
+            for cp in (None, scn.controller):
+                assert assert_same_faces(g, cp) is not None
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(3, 8), st.integers(0, 2**16))
+    def test_drawn_rings(self, n, seed):
+        scn = ring_tree_scenario(n, seed)
+        for g in scn.games:
+            for cp in (None, scn.controller):
+                assert_same_faces(g, cp)
+
+
 def project(vi, z0):
     """Dykstra's projection of ``z0`` onto the feasible set of ``vi``, as
     ``_solve_extragradient`` makes it."""
@@ -322,14 +442,16 @@ class TestOneBoxDescription:
 
         vi = _Vi(g)
         caps = []
-        face_solve = oracle._face_solve
+        face_system = oracle._face_system
 
-        def spy(G, g0, M, c, lo, hi, cap, state):
+        def spy(vi, cp=None):
+            K, rhs, cap = face_system(vi, cp)
             caps.append(cap.copy())
-            return face_solve(G, g0, M, c, lo, hi, cap, state)
+            return K, rhs, cap
 
-        monkeypatch.setattr(oracle, "_face_solve", spy)
+        monkeypatch.setattr(oracle, "_face_system", spy)
         eq = closed_loop_equilibrium(g, ref_cp)
+        assert len(caps) == 1
         boxed = np.zeros(g.layout.size, dtype=bool)
         boxed[b.pos] = True
         for arr, inside in ((vi.lo, b.lo), (vi.hi, b.hi), (caps[0], b.force)):

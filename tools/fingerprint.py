@@ -3,7 +3,10 @@
 For each benchmark workload (the scenario trees of ``bench/workloads.py``
 at seed 0) this runs ``run_scenario(scn, outdir=...)`` once and prints
 the crc32 of ``traj.y``, ``diag``, ``timeseries.csv`` and
-``summary.json``.  It then prints the line count of ``src/`` and the
+``summary.json``, and for each load era of that workload the crc32 of
+its ``closed_loop_equilibrium`` (the attractor's regimes, forces and
+controller state), which reaches the capped active-set path that no
+run does.  It then prints the line count of ``src/`` and the
 number of function, method and lambda parameters in ``src/gridtrade``,
 counted with ``ast`` (``self`` and ``cls`` left out).  Two trees that
 print the same crc32s on one host at one BLAS thread count gave the same
@@ -43,6 +46,22 @@ def run_crcs(tree: dict) -> list:
     return [f"{zlib.crc32(b):08x}" for b in blobs]
 
 
+def attractor_crcs(tree: dict) -> list:
+    """crc32 of each load era's closed-loop attractor: its regimes, its
+    forces and every block of its controller state."""
+    import gridtrade as gt
+
+    scn = gt.Scenario.from_dict(tree)
+    crcs = []
+    for g in scn.games:
+        att = gt.closed_loop_equilibrium(g, scn.controller)
+        blob = b"".join([",".join(att.regimes).encode(),
+                         att.forces.tobytes()]
+                        + [a.tobytes() for a in vars(att.controller).values()])
+        crcs.append(f"{zlib.crc32(blob):08x}")
+    return crcs
+
+
 def line_count() -> int:
     return sum(len(p.read_text().splitlines()) for p in SRC.rglob("*.py"))
 
@@ -71,6 +90,10 @@ def main() -> int:
     print("workload: traj.y diag timeseries.csv summary.json")
     for w in workloads.WORKLOADS:
         crcs = run_crcs(workloads.scenario_tree(w, 0))
+        print(f"{w}: " + " ".join(crcs), flush=True)
+    print("workload: attractor per load era")
+    for w in workloads.WORKLOADS:
+        crcs = attractor_crcs(workloads.scenario_tree(w, 0))
         print(f"{w}: " + " ".join(crcs), flush=True)
     print(f"src lines: {line_count()}")
     print(f"parameters: {parameter_count()}")
